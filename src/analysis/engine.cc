@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <utility>
 
 #include "src/isa/image_io.h"
@@ -480,11 +481,11 @@ uint32_t ProfileSetCrc(const AnalysisInput& input) {
     const uint8_t present = profile != nullptr;
     crc = Crc32(&present, 1, crc);
     if (!profile) continue;
-    // Hash the trailer-free serialization: the checksummed form ends with
-    // its own CRC32, and CRC(m || crc(m)) is a content-independent residue
-    // — two same-length profiles would collide.
-    std::vector<uint8_t> bytes = SerializeProfileV2(*profile);
-    crc = Crc32(bytes.data(), bytes.size(), crc);
+    // Hash the serialization without its CRC32 trailer: CRC(m || crc(m))
+    // is a content-independent residue, so two same-length profiles would
+    // collide.
+    std::vector<uint8_t> bytes = SerializeProfile(*profile);
+    crc = Crc32(bytes.data(), bytes.size() - kProfileCrcBytes, crc);
   }
   return crc;
 }
@@ -768,31 +769,55 @@ DatabaseAnalysis AnalysisEngine::AnalyzeDatabase(
     std::vector<std::unique_ptr<ImageProfile>> profiles;
     std::vector<AnalysisInput> inputs;
     std::vector<size_t> input_image(images.size(), SIZE_MAX);
-    auto read = [&](const std::string& name, EventType event) -> const ImageProfile* {
-      Result<ImageProfile> profile = db.ReadProfile(epoch, name, event);
-      if (!profile.ok()) return nullptr;
-      profiles.push_back(
-          std::make_unique<ImageProfile>(std::move(profile).value()));
-      return profiles.back().get();
+    // Per input: why its profiles could not be trusted (a corrupt or
+    // unreadable file). Such an image goes in with no CYCLES profile, and
+    // its procedures are reported with this status.
+    std::vector<Status> read_errors;
+    auto read = [&](const std::string& name, EventType event,
+                    const ImageProfile** slot) -> Status {
+      std::optional<ImageProfile> profile;
+      DCPI_RETURN_IF_ERROR(StoreIfPresent(db.ReadProfile(epoch, name, event), &profile));
+      if (profile.has_value()) {
+        profiles.push_back(std::make_unique<ImageProfile>(std::move(*profile)));
+        *slot = profiles.back().get();
+      }
+      return Status::Ok();
     };
     for (size_t i = 0; i < images.size(); ++i) {
-      const ImageProfile* cycles = read(images[i]->name(), EventType::kCycles);
-      if (cycles == nullptr) continue;  // image idle this epoch
       AnalysisInput input;
       input.image = images[i];
-      input.cycles = cycles;
-      input.imiss = read(images[i]->name(), EventType::kImiss);
-      input.dmiss = read(images[i]->name(), EventType::kDmiss);
-      input.branchmp = read(images[i]->name(), EventType::kBranchMp);
-      input.dtbmiss = read(images[i]->name(), EventType::kDtbMiss);
-      input_image[i] = inputs.size();
+      Status status = read(images[i]->name(), EventType::kCycles, &input.cycles);
+      if (status.ok() && input.cycles == nullptr) continue;  // image idle this epoch
+      for (auto [event, slot] :
+           {std::pair{EventType::kImiss, &input.imiss},
+            std::pair{EventType::kDmiss, &input.dmiss},
+            std::pair{EventType::kBranchMp, &input.branchmp},
+            std::pair{EventType::kDtbMiss, &input.dtbmiss}}) {
+        if (status.ok()) status = read(images[i]->name(), event, slot);
+      }
       per_epoch.analyzed_images.push_back(i);
+      if (status.ok()) {
+        input_image[i] = inputs.size();
+        per_epoch.cycles_samples += input.cycles->total_samples();
+      } else {
+        input = AnalysisInput{images[i]};
+      }
       inputs.push_back(std::move(input));
-      per_epoch.cycles_samples += cycles->total_samples();
+      read_errors.push_back(std::move(status));
     }
 
     per_epoch.analysis = AnalyzeAllCached(
         inputs, config, opts.use_cache ? db.EpochCacheDir(epoch) : std::string());
+    size_t first_result = 0;
+    for (size_t n = 0; n < inputs.size(); ++n) {
+      const size_t num_procs = inputs[n].image->procedures().size();
+      if (!read_errors[n].ok()) {
+        for (size_t p = 0; p < num_procs; ++p) {
+          per_epoch.analysis.procedures[first_result + p].status = read_errors[n];
+        }
+      }
+      first_result += num_procs;
+    }
     out.cache_hits += per_epoch.analysis.cache_hits;
     out.cache_misses += per_epoch.analysis.cache_misses;
 

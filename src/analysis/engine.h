@@ -98,7 +98,9 @@ struct EpochAnalysisResult {
   uint64_t cycles_samples = 0;  // CYCLES samples read from this epoch
   // Indices (into AnalyzeDatabase's `images`) of the images that had a
   // CYCLES profile this epoch, in input order; `analysis.procedures` holds
-  // exactly these images' procedures, grouped in the same order.
+  // exactly these images' procedures, grouped in the same order. An image
+  // whose profile files exist but cannot be read is listed too, with the
+  // read error as every one of its procedures' status.
   std::vector<size_t> analyzed_images;
   EpochAnalysis analysis;
 };
@@ -140,7 +142,9 @@ class AnalysisEngine {
   // the default set), each through its own per-epoch cache, and merges the
   // results. `EngineOptions::cache_dir` is ignored here; caching is
   // controlled by `opts.use_cache`. Only the given images are analyzed;
-  // images without a CYCLES profile in an epoch are skipped for that epoch.
+  // images without a CYCLES profile in an epoch are skipped for that epoch,
+  // and images with an unreadable profile file fail (see
+  // EpochAnalysisResult::analyzed_images).
   DatabaseAnalysis AnalyzeDatabase(
       const ProfileDatabase& db,
       const std::vector<std::shared_ptr<const ExecutableImage>>& images,

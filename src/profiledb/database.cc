@@ -40,7 +40,7 @@ bool ParseEpochDirName(const std::string& dir_name, uint32_t* epoch) {
   return true;
 }
 
-// Header + varint-encoded count records, shared by versions 2 and 3.
+// Header + varint-encoded count records, the body of versions 3 and 4.
 void AppendVarintProfile(const ImageProfile& profile, uint8_t version,
                          ByteWriter* writer) {
   writer->PutU32(kMagic);
@@ -131,6 +131,23 @@ Status ReadMemorySection(ByteReader* reader, size_t payload_size,
   return Status::Ok();
 }
 
+// Reads and validates the profile file at `path`. File names are
+// injective, so a header that maps to another name marks a misplaced or
+// hostile file: trusting it would credit another image's samples.
+Result<ImageProfile> ReadProfileAt(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  DCPI_RETURN_IF_ERROR(ReadFile(path, &bytes));
+  Result<ImageProfile> profile = DeserializeProfile(bytes);
+  if (!profile.ok()) return IoError(path + ": " + profile.status().message());
+  const ImageProfile& p = profile.value();
+  const std::string file_name = path.substr(path.find_last_of('/') + 1);
+  if (ProfileDatabase::ProfileFileName(p.image_name(), p.event()) != file_name) {
+    return IoError(path + ": header names image '" + p.image_name() + "' event " +
+                   EventTypeName(p.event()) + ", not this file's");
+  }
+  return profile;
+}
+
 }  // namespace
 
 void ImageProfile::Merge(const ImageProfile& other) {
@@ -174,12 +191,6 @@ std::vector<uint8_t> SerializeProfile(const ImageProfile& profile) {
     AppendMemorySection(profile.mem(), &writer);
   }
   writer.PutU32(Crc32(writer.bytes()));
-  return writer.bytes();
-}
-
-std::vector<uint8_t> SerializeProfileV2(const ImageProfile& profile) {
-  ByteWriter writer;
-  AppendVarintProfile(profile, kVersionVarint, &writer);
   return writer.bytes();
 }
 
@@ -386,11 +397,7 @@ ScanReport ProfileDatabase::ScanAndRecover() const {
         }
         if (!EndsWith(file_name, ".prof")) continue;
         ++files_checked;
-        std::vector<uint8_t> bytes;
-        Result<ImageProfile> profile = IoError("unread");
-        if (ReadFile(file_path.string(), &bytes).ok()) {
-          profile = DeserializeProfile(bytes);
-        }
+        Result<ImageProfile> profile = ReadProfileAt(file_path.string());
         if (profile.ok()) {
           ++files_recovered;
           ++info.files;
@@ -440,13 +447,6 @@ std::string ProfileDatabase::ProfileFileName(const std::string& image_name,
   return sanitized + "__" + EventTypeName(event) + ".prof";
 }
 
-std::string ProfileDatabase::LegacyProfileFileName(const std::string& image_name,
-                                                   EventType event) {
-  std::string sanitized;
-  for (char c : image_name) sanitized += (c == '/' ? '_' : c);
-  return sanitized + "__" + EventTypeName(event) + ".prof";
-}
-
 uint32_t ProfileDatabase::current_epoch() const {
   MutexLock lock(&mu_);
   return current_epoch_;
@@ -488,23 +488,11 @@ Result<uint32_t> ProfileDatabase::OpenEpoch(uint32_t epoch) {
   return epoch;
 }
 
-Status ProfileDatabase::WriteProfile(const ImageProfile& profile) {
-  if (mode_ == DbOpenMode::kReadOnly) {
-    return FailedPrecondition("database opened read-only");
-  }
-  MutexLock lock(&mu_);
-  return WriteLocked(profile, /*merge=*/true);
-}
-
 Status ProfileDatabase::ReplaceProfile(const ImageProfile& profile) {
   if (mode_ == DbOpenMode::kReadOnly) {
     return FailedPrecondition("database opened read-only");
   }
   MutexLock lock(&mu_);
-  return WriteLocked(profile, /*merge=*/false);
-}
-
-Status ProfileDatabase::WriteLocked(const ImageProfile& profile, bool merge) {
   if (!have_epoch_) {
     uint32_t epoch = next_epoch_;
     std::error_code ec;
@@ -513,33 +501,12 @@ Status ProfileDatabase::WriteLocked(const ImageProfile& profile, bool merge) {
     current_epoch_ = epoch;
     have_epoch_ = true;
   }
-  std::string dir = EpochDir(current_epoch_);
-  std::string path = dir + "/" + ProfileFileName(profile.image_name(), profile.event());
-  ImageProfile merged = profile;
-  std::string legacy =
-      dir + "/" + LegacyProfileFileName(profile.image_name(), profile.event());
-  if (legacy == path) legacy.clear();
-  if (merge) {
-    std::vector<uint8_t> existing;
-    bool have_existing = ReadFile(path, &existing).ok();
-    if (!have_existing && !legacy.empty() && ReadFile(legacy, &existing).ok()) {
-      have_existing = true;
-    }
-    if (have_existing) {
-      Result<ImageProfile> prior = DeserializeProfile(existing);
-      if (prior.ok()) merged.Merge(prior.value());
-    }
-  }
-  std::vector<uint8_t> serialized = SerializeProfile(merged);
+  std::string path = EpochDir(current_epoch_) + "/" +
+                     ProfileFileName(profile.image_name(), profile.event());
+  std::vector<uint8_t> serialized = SerializeProfile(profile);
   size_t serialized_size = serialized.size();
   DCPI_RETURN_IF_ERROR(WriteFileAtomic(path, std::move(serialized)));
   bytes_written_.fetch_add(serialized_size, std::memory_order_relaxed);
-  // Any legacy-named file is superseded (folded in when merging, replaced
-  // otherwise); drop it so the image's samples live in exactly one file.
-  if (!legacy.empty()) {
-    std::error_code ec;
-    std::filesystem::remove(legacy, ec);
-  }
   return Status::Ok();
 }
 
@@ -600,14 +567,43 @@ std::vector<uint32_t> ProfileDatabase::ListSealedEpochs() const {
 Result<ImageProfile> ProfileDatabase::ReadProfile(uint32_t epoch,
                                                   const std::string& image_name,
                                                   EventType event) const {
-  std::string path = EpochDir(epoch) + "/" + ProfileFileName(image_name, event);
-  std::vector<uint8_t> bytes;
-  Status read = ReadFile(path, &bytes);
-  if (!read.ok()) {
-    std::string legacy = EpochDir(epoch) + "/" + LegacyProfileFileName(image_name, event);
-    if (legacy == path || !ReadFile(legacy, &bytes).ok()) return read;
+  return ReadProfileFile(epoch, ProfileFileName(image_name, event));
+}
+
+Result<ImageProfile> ProfileDatabase::ReadProfileFile(
+    uint32_t epoch, const std::string& file_name) const {
+  return ReadProfileAt(EpochDir(epoch) + "/" + file_name);
+}
+
+Result<ImageProfile> ProfileDatabase::ReadMerged(std::vector<uint32_t> epochs,
+                                                 const std::string& image_name,
+                                                 EventType event) const {
+  std::sort(epochs.begin(), epochs.end());
+  std::optional<ImageProfile> merged;
+  for (uint32_t epoch : epochs) {
+    std::optional<ImageProfile> one;
+    DCPI_RETURN_IF_ERROR(StoreIfPresent(ReadProfile(epoch, image_name, event), &one));
+    if (!one.has_value()) continue;
+    if (merged.has_value()) {
+      merged->Merge(*one);
+    } else {
+      merged = std::move(one);
+    }
   }
-  return DeserializeProfile(bytes);
+  if (!merged.has_value()) {
+    return NotFound("no " + std::string(EventTypeName(event)) + " profile for " +
+                    image_name);
+  }
+  return std::move(*merged);
+}
+
+Status StoreIfPresent(Result<ImageProfile> read, std::optional<ImageProfile>* out) {
+  if (read.ok()) {
+    *out = std::move(read).value();
+    return Status::Ok();
+  }
+  out->reset();
+  return read.status().code() == StatusCode::kNotFound ? Status::Ok() : read.status();
 }
 
 Result<std::vector<std::string>> ProfileDatabase::ListProfiles(uint32_t epoch) const {

@@ -6,8 +6,13 @@
 // (most instructions never execute); this is the paper's "improved format"
 // with ~3x compression over fixed-width records.
 //
+// Lookup: (image, event) lives only in ProfileFileName(image, event); there
+// is no fallback name. Readers treat only NotFound (no such file) as "not
+// profiled"; an unreadable, corrupt or misplaced file is an IoError.
+//
 // Durability: profile files are written with WriteFileAtomic (temp + fsync
-// + rename), and the current format (version 3) carries a CRC32 trailer.
+// + rename), and the current formats (versions 3 and 4) carry a CRC32
+// trailer.
 // Opening a database read-write scans the existing epoch_* directories,
 // validates every profile file, quarantines corrupt or in-flight files to
 // epoch_<N>/.quarantine/, and resumes epoch numbering at max + 1 so a new
@@ -26,7 +31,9 @@
 #define SRC_PROFILEDB_DATABASE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,15 +44,20 @@
 namespace dcpi {
 
 // Serialization (exposed for tests and size experiments). SerializeProfile
-// emits the current version-3 format: varint body + CRC32 trailer.
-// DeserializeProfile verifies the checksum, rejects trailing bytes, and
-// still reads version 1 and 2 files.
+// writes version 3 (varint body + CRC32 trailer), or version 4 (v3 plus a
+// data-line memory section) if the profile has a memory axis.
+// DeserializeProfile verifies the checksum and rejects trailing bytes; it
+// still reads version 1 and 2 (v3 without the trailer), which nothing
+// writes any more.
 std::vector<uint8_t> SerializeProfile(const ImageProfile& profile);
 Result<ImageProfile> DeserializeProfile(const std::vector<uint8_t>& bytes);
 
-// Legacy version-2 encoding (varint body, no checksum), kept for the
-// back-compat tests and the v2-vs-v3 size comparison bench.
-std::vector<uint8_t> SerializeProfileV2(const ImageProfile& profile);
+// Size of the CRC32 trailer that ends every SerializeProfile output.
+inline constexpr size_t kProfileCrcBytes = 4;
+
+// The readers' "not profiled" rule: stores a read profile in *out, leaves
+// *out empty if it is absent (NotFound), and returns any other failure.
+Status StoreIfPresent(Result<ImageProfile> read, std::optional<ImageProfile>* out);
 
 // Fixed-width (non-delta, non-varint) version-1 encoding: the paper's
 // original format baseline, used by the compression comparison bench.
@@ -108,18 +120,28 @@ class ProfileDatabase {
   // the merged database. Refuses sealed epochs (they are immutable).
   Result<uint32_t> OpenEpoch(uint32_t epoch);
 
-  // Merges `profile` into the on-disk file for the current epoch. The write
-  // is atomic: on any failure the previous file contents remain intact.
-  Status WriteProfile(const ImageProfile& profile);
-
-  // Overwrites the on-disk file for the current epoch with `profile`
-  // (atomically; no read-merge). This is the single-writer daemon's flush
-  // primitive: the daemon keeps the epoch's cumulative profile in memory,
-  // so periodic flushes of the same epoch must replace, not re-merge.
+  // Overwrites the on-disk file for the current epoch with `profile`. The
+  // write is atomic: on any failure the previous file contents remain
+  // intact. This is the single-writer daemon's flush primitive: the daemon
+  // keeps the epoch's cumulative profile in memory, so periodic flushes of
+  // the same epoch replace the file rather than merge into it.
   Status ReplaceProfile(const ImageProfile& profile);
 
+  // NotFound if the epoch has no such file; an IoError naming the file if
+  // it is unreadable, corrupt, or its header names another (image, event).
   Result<ImageProfile> ReadProfile(uint32_t epoch, const std::string& image_name,
                                    EventType event) const;
+
+  // ReadProfile for a file name as ListProfiles returns it.
+  Result<ImageProfile> ReadProfileFile(uint32_t epoch,
+                                       const std::string& file_name) const;
+
+  // Folds the (image, event) profile across `epochs` in ascending order,
+  // which fixes the merged period bit for bit. Epochs without the file are
+  // skipped; NotFound if none has it. Any other read failure is returned.
+  Result<ImageProfile> ReadMerged(std::vector<uint32_t> epochs,
+                                  const std::string& image_name,
+                                  EventType event) const;
 
   // All (image, event) profile files in an epoch (quarantined and in-flight
   // files excluded).
@@ -162,16 +184,10 @@ class ProfileDatabase {
   // "_s", so distinct image names never collide ("a/b" vs "a_b").
   static std::string ProfileFileName(const std::string& image_name, EventType event);
 
-  // The pre-escaping name ('/' replaced by '_'); reads fall back to it so
-  // databases written before the escaping change stay readable.
-  static std::string LegacyProfileFileName(const std::string& image_name,
-                                           EventType event);
-
  private:
   std::string EpochDir(uint32_t epoch) const;
   std::string SealMarkerPath(uint32_t epoch) const;
   ScanReport ScanAndRecover() const;
-  Status WriteLocked(const ImageProfile& profile, bool merge) REQUIRES(mu_);
 
   std::string root_;
   DbOpenMode mode_ = DbOpenMode::kReadWrite;

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -145,28 +146,14 @@ FleetProfile MergeHostProfiles(
 Result<FleetProfile> FleetView::ReadProfileWithProvenance(
     const std::vector<uint32_t>& epochs, const std::string& image_name,
     EventType event) const {
-  // Per-host fold across epochs first (ascending, like a single database
-  // read), then one cross-host merge.
-  std::vector<uint32_t> sorted_epochs = epochs;
-  std::sort(sorted_epochs.begin(), sorted_epochs.end());
+  // Per-host fold across epochs first (the single-database rule), then one
+  // cross-host merge.
   std::vector<std::pair<std::string, ImageProfile>> host_profiles;
   for (size_t i = 0; i < hosts_.size(); ++i) {
-    ImageProfile folded;
-    bool have = false;
-    for (uint32_t epoch : sorted_epochs) {
-      Result<ImageProfile> one = hosts_[i]->ReadProfile(epoch, image_name, event);
-      if (!one.ok()) {
-        if (one.status().code() == StatusCode::kNotFound) continue;
-        return one.status();
-      }
-      if (!have) {
-        folded = std::move(one).value();
-        have = true;
-      } else {
-        folded.Merge(one.value());
-      }
-    }
-    if (have) host_profiles.emplace_back(host_names_[i], std::move(folded));
+    std::optional<ImageProfile> folded;
+    DCPI_RETURN_IF_ERROR(
+        StoreIfPresent(hosts_[i]->ReadMerged(epochs, image_name, event), &folded));
+    if (folded.has_value()) host_profiles.emplace_back(host_names_[i], std::move(*folded));
   }
   if (host_profiles.empty()) {
     return NotFound("no shard has profile for image '" + image_name + "'");
@@ -187,25 +174,6 @@ Result<ImageProfile> FleetView::ReadProfile(const std::vector<uint32_t>& epochs,
   return std::move(fleet).value().merged;
 }
 
-Result<std::vector<std::string>> FleetView::ListProfiles(uint32_t epoch) const {
-  std::set<std::string> names;
-  bool any = false;
-  for (const auto& host : hosts_) {
-    Result<std::vector<std::string>> host_names = host->ListProfiles(epoch);
-    if (!host_names.ok()) continue;  // shard never opened this epoch
-    any = true;
-    for (std::string& name : host_names.value()) names.insert(std::move(name));
-  }
-  if (!any) return IoError("no shard has epoch " + std::to_string(epoch));
-  return std::vector<std::string>(names.begin(), names.end());
-}
-
-uint64_t FleetView::DiskUsageBytes() const {
-  uint64_t total = 0;
-  for (const auto& host : hosts_) total += host->DiskUsageBytes();
-  return total;
-}
-
 Status CompactFleet(const FleetView& fleet, const std::string& out_root,
                     const std::vector<uint32_t>& epochs, int jobs) {
   if (fleet.num_hosts() == 0) {
@@ -222,45 +190,35 @@ Status CompactFleet(const FleetView& fleet, const std::string& out_root,
     // below sees hosts in ascending order.
     struct ReadTask {
       size_t host_index;
-      std::string path;
+      std::string file;
     };
     std::vector<ReadTask> tasks;
     for (size_t i = 0; i < fleet.num_hosts(); ++i) {
       Result<std::vector<std::string>> files = fleet.host(i).ListProfiles(epoch);
       if (!files.ok()) continue;  // shard never opened this epoch
-      for (const std::string& file : files.value()) {
-        tasks.push_back(ReadTask{i, fleet.host(i).root() + "/epoch_" +
-                                        std::to_string(epoch) + "/" + file});
-      }
+      for (const std::string& file : files.value()) tasks.push_back(ReadTask{i, file});
     }
     if (tasks.empty()) continue;
 
-    // Parallel read + deserialize into index-addressed slots: the fill
-    // order does not depend on thread scheduling, so neither do the
-    // merged bytes.
+    // Parallel reads into index-addressed slots: the fill order does not
+    // depend on thread scheduling, so neither do the merged bytes.
     std::vector<Result<ImageProfile>> slots(tasks.size(),
                                             IoError("not read"));
     pool.ParallelFor(tasks.size(), [&](size_t index, int /*worker*/) {
-      std::vector<uint8_t> bytes;
-      Status read = ReadFile(tasks[index].path, &bytes);
-      if (!read.ok()) {
-        slots[index] = read;
-        return;
-      }
-      slots[index] = DeserializeProfile(bytes);
+      slots[index] =
+          fleet.host(tasks[index].host_index).ReadProfileFile(epoch, tasks[index].file);
     });
 
-    // Group by (image, event) across hosts. Filenames cannot be parsed back
-    // into image names unambiguously (escaping), so the grouping key comes
-    // from the deserialized payload. Unreadable files are skipped, matching
-    // the read-only scan's treatment of corrupt shard data.
+    // Group by (image, event) across hosts. A file that cannot be read, or
+    // whose header does not match its name, fails the pass, as it fails
+    // merge-on-read: the compacted database never differs from what the
+    // --fleet readers would show.
     std::map<std::pair<std::string, EventType>, std::vector<size_t>> groups;
     for (size_t i = 0; i < slots.size(); ++i) {
-      if (!slots[i].ok()) continue;
+      if (!slots[i].ok()) return slots[i].status();
       const ImageProfile& profile = slots[i].value();
       groups[{profile.image_name(), profile.event()}].push_back(i);
     }
-    if (groups.empty()) continue;
 
     Result<uint32_t> opened = out.OpenEpoch(epoch);
     if (!opened.ok()) return opened.status();

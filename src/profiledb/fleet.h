@@ -70,8 +70,9 @@ class FleetView {
   std::vector<uint32_t> ListSealedEpochs() const;
 
   // Merge-on-read: folds the (image, event) profile across `epochs` per
-  // host (ascending epoch order), then across hosts. NotFound if no shard
-  // has the profile in any requested epoch.
+  // host (ProfileDatabase::ReadMerged), then across hosts. Shards without
+  // the profile are skipped; NotFound if no shard has it in any requested
+  // epoch. Any other read failure on any shard is returned.
   Result<ImageProfile> ReadProfile(const std::vector<uint32_t>& epochs,
                                    const std::string& image_name,
                                    EventType event) const;
@@ -79,11 +80,6 @@ class FleetView {
   Result<FleetProfile> ReadProfileWithProvenance(
       const std::vector<uint32_t>& epochs, const std::string& image_name,
       EventType event) const;
-
-  // Union of profile file names across shards for one epoch, sorted.
-  Result<std::vector<std::string>> ListProfiles(uint32_t epoch) const;
-
-  uint64_t DiskUsageBytes() const;
 
  private:
   std::string root_;
@@ -99,8 +95,9 @@ FleetProfile MergeHostProfiles(
     const std::vector<std::pair<std::string, const ImageProfile*>>& parts);
 
 // Materializes fleet merge-on-read into a regular ProfileDatabase at
-// `out_root`: for each requested epoch, every shard's profiles are read,
-// grouped by (image, event), merged with MergeHostProfiles, written through
+// `out_root`: for each requested epoch, every shard's profiles are read
+// (with ReadProfile's checks; the first bad file fails the pass), grouped
+// by (image, event), merged with MergeHostProfiles, written through
 // the atomic-write/CRC path under the same epoch number, recorded in an
 // epoch_<k>/.provenance sidecar (one "host_<id> <samples>" line per host),
 // and sealed. Reads fan out over `jobs` worker threads; output bytes are

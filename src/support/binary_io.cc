@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 
 namespace dcpi {
@@ -90,7 +91,10 @@ Status WriteFileAtomic(const std::string& path, const std::vector<uint8_t>& byte
 Status ReadFile(const std::string& path, std::vector<uint8_t>* bytes,
                 size_t max_bytes) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return IoError("cannot open for read: " + path);
+  if (f == nullptr) {
+    if (errno == ENOENT) return NotFound("no such file: " + path);
+    return IoError("cannot open for read: " + path);
+  }
   if (std::fseek(f, 0, SEEK_END) != 0) {
     std::fclose(f);
     return IoError("cannot seek: " + path);

@@ -125,8 +125,10 @@ class ByteReader {
 
 // Whole-file helpers.
 //
-// ReadFile refuses files larger than `max_bytes` so a corrupt or hostile
-// file cannot drive a multi-GB resize; profile files are at most a few MB.
+// ReadFile returns NotFound when `path` does not exist and IoError for every
+// other failure, so callers can tell an absent file from an unreadable one.
+// It refuses files larger than `max_bytes` so a corrupt or hostile file
+// cannot drive a multi-GB resize; profile files are at most a few MB.
 inline constexpr size_t kMaxReadFileBytes = size_t{256} << 20;
 
 Status WriteFile(const std::string& path, const std::vector<uint8_t>& bytes);

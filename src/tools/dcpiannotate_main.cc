@@ -71,8 +71,7 @@ int main(int argc, char** argv) {
   Result<ImageProfile> cycles =
       ReadMergedProfile(ctx, image->name(), EventType::kCycles);
   if (!cycles.ok()) {
-    std::fprintf(stderr, "no cycles profile: %s\n",
-                 cycles.status().ToString().c_str());
+    std::fprintf(stderr, "%s\n", cycles.status().ToString().c_str());
     return 1;
   }
   std::fputs(FormatAnnotatedSource(*image, source.str(), cycles.value()).c_str(),

@@ -86,13 +86,16 @@ int main(int argc, char** argv) {
   Result<ImageProfile> cycles =
       ReadMergedProfile(ctx, image->name(), EventType::kCycles);
   if (!cycles.ok()) {
-    std::fprintf(stderr, "no cycles profile: %s\n", cycles.status().ToString().c_str());
+    std::fprintf(stderr, "%s\n", cycles.status().ToString().c_str());
     return 1;
   }
   std::optional<ImageProfile> imiss;
-  Result<ImageProfile> imiss_result =
-      ReadMergedProfile(ctx, image->name(), EventType::kImiss);
-  if (imiss_result.ok()) imiss = std::move(imiss_result).value();
+  Status imiss_read =
+      StoreIfPresent(ReadMergedProfile(ctx, image->name(), EventType::kImiss), &imiss);
+  if (!imiss_read.ok()) {
+    std::fprintf(stderr, "%s\n", imiss_read.ToString().c_str());
+    return 1;
+  }
 
   AnalysisConfig config;
   config.selfcheck = selfcheck;

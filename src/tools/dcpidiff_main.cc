@@ -13,12 +13,10 @@
 
 #include <cstdio>
 #include <deque>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/isa/image_io.h"
-#include "src/profiledb/database.h"
-#include "src/profiledb/fleet.h"
 #include "src/tools/dcpidiff.h"
 #include "src/tools/toolkit.h"
 
@@ -60,23 +58,15 @@ int main(int argc, char** argv) {
   }
 
   // Read-only, like every other reader tool: dcpidiff may run against a
-  // database a daemon is still writing. Exactly one of db/fleet is set.
-  std::unique_ptr<ProfileDatabase> db;
-  std::unique_ptr<FleetView> fleet;
-  if (options.fleet) {
-    fleet = std::make_unique<FleetView>(argv[arg]);
-    if (fleet->num_hosts() == 0) {
-      std::fprintf(stderr, "%s holds no host_<id> shards\n", argv[arg]);
-      return 1;
-    }
-  } else {
-    db = std::make_unique<ProfileDatabase>(argv[arg], DbOpenMode::kReadOnly);
+  // database a daemon is still writing. The epochs are explicit, so none
+  // is resolved by default; each is read on its own below.
+  options.epochs = {epoch_before, epoch_after};
+  Result<ToolContext> context = OpenToolDatabase(argv[arg], options);
+  if (!context.ok()) {
+    std::fprintf(stderr, "%s\n", context.status().ToString().c_str());
+    return 1;
   }
-  auto read_profile = [&](uint32_t epoch, const std::string& image_name) {
-    return db != nullptr ? db->ReadProfile(epoch, image_name, EventType::kCycles)
-                         : fleet->ReadProfile({epoch}, image_name,
-                                              EventType::kCycles);
-  };
+  ToolContext& ctx = context.value();
 
   std::deque<ImageProfile> storage;
   std::vector<ProfInput> before_inputs, after_inputs;
@@ -87,15 +77,19 @@ int main(int argc, char** argv) {
                    image.status().ToString().c_str());
       return 1;
     }
-    Result<ImageProfile> before = read_profile(epoch_before, image.value()->name());
-    if (before.ok()) {
-      storage.push_back(std::move(before.value()));
-      before_inputs.push_back({image.value(), &storage.back(), nullptr});
-    }
-    Result<ImageProfile> after = read_profile(epoch_after, image.value()->name());
-    if (after.ok()) {
-      storage.push_back(std::move(after.value()));
-      after_inputs.push_back({image.value(), &storage.back(), nullptr});
+    for (auto [epoch, inputs] : {std::pair{epoch_before, &before_inputs},
+                                 std::pair{epoch_after, &after_inputs}}) {
+      ctx.epochs = {epoch};
+      std::optional<ImageProfile> profile;
+      Status read = StoreIfPresent(
+          ReadMergedProfile(ctx, image.value()->name(), EventType::kCycles), &profile);
+      if (!read.ok()) {
+        std::fprintf(stderr, "%s\n", read.ToString().c_str());
+        return 1;
+      }
+      if (!profile.has_value()) continue;
+      storage.push_back(std::move(*profile));
+      inputs->push_back({image.value(), &storage.back(), nullptr});
     }
   }
   if (before_inputs.empty() && after_inputs.empty()) {

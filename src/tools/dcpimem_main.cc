@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -74,10 +75,15 @@ int main(int argc, char** argv) {
   std::vector<MemInput> inputs;
   for (const std::shared_ptr<ExecutableImage>& image : images.value()) {
     for (int e = 0; e < kNumEventTypes; ++e) {
-      Result<ImageProfile> profile =
-          ReadMergedProfile(ctx, image->name(), static_cast<EventType>(e));
-      if (!profile.ok() || profile.value().mem().empty()) continue;
-      storage.push_back(std::move(profile.value()));
+      std::optional<ImageProfile> profile;
+      Status read = StoreIfPresent(
+          ReadMergedProfile(ctx, image->name(), static_cast<EventType>(e)), &profile);
+      if (!read.ok()) {
+        std::fprintf(stderr, "%s\n", read.ToString().c_str());
+        return 1;
+      }
+      if (!profile.has_value() || profile->mem().empty()) continue;
+      storage.push_back(std::move(*profile));
       inputs.push_back({image, &storage.back()});
     }
   }

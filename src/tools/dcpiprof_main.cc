@@ -85,6 +85,7 @@ int main(int argc, char** argv) {
   const size_t num_images = images.value().size();
   struct Slot {
     std::optional<ImageProfile> cycles, secondary;
+    Status error;  // a profile file that exists but cannot be trusted
   };
   std::vector<Slot> slots(num_hosts * num_images);
   ThreadPool pool(options.jobs);
@@ -92,15 +93,19 @@ int main(int argc, char** argv) {
     const ProfileDatabase& db = ctx.fleet != nullptr
                                     ? ctx.fleet->host(cell / num_images)
                                     : *ctx.db;
-    const auto& image = images.value()[cell % num_images];
-    Result<ImageProfile> cycles =
-        ReadMergedProfile(db, ctx.epochs, image->name(), EventType::kCycles);
-    if (!cycles.ok()) return;  // image not profiled in these epochs
-    slots[cell].cycles = std::move(cycles).value();
-    Result<ImageProfile> imiss =
-        ReadMergedProfile(db, ctx.epochs, image->name(), EventType::kImiss);
-    if (imiss.ok()) slots[cell].secondary = std::move(imiss).value();
+    const std::string& name = images.value()[cell % num_images]->name();
+    Slot& slot = slots[cell];
+    slot.error = StoreIfPresent(db.ReadMerged(ctx.epochs, name, EventType::kCycles),
+                                &slot.cycles);
+    if (!slot.error.ok() || !slot.cycles.has_value()) return;
+    slot.error = StoreIfPresent(db.ReadMerged(ctx.epochs, name, EventType::kImiss),
+                                &slot.secondary);
   });
+  for (const Slot& slot : slots) {
+    if (slot.error.ok()) continue;
+    std::fprintf(stderr, "%s\n", slot.error.ToString().c_str());
+    return 1;
+  }
 
   std::vector<std::vector<ProfInput>> per_host(num_hosts);
   size_t profiled = 0;

@@ -97,16 +97,21 @@ int main(int argc, char** argv) {
   // across every resolved epoch; a plain cell reads one epoch.
   const size_t num_images = images.value().size();
   std::vector<std::optional<ImageProfile>> grid(num_sets * num_images);
+  std::vector<Status> errors(grid.size());
   ThreadPool pool(options.jobs);
   pool.ParallelFor(grid.size(), [&](size_t cell, int) {
-    const auto& image = images.value()[cell % num_images];
-    Result<ImageProfile> cycles =
-        fleet ? ReadMergedProfile(ctx.fleet->host(cell / num_images), ctx.epochs,
-                                  image->name(), EventType::kCycles)
-              : ctx.db->ReadProfile(ctx.epochs[cell / num_images], image->name(),
-                                    EventType::kCycles);
-    if (cycles.ok()) grid[cell] = std::move(cycles).value();
+    const std::string& name = images.value()[cell % num_images]->name();
+    const size_t set = cell / num_images;
+    errors[cell] = StoreIfPresent(
+        fleet ? ctx.fleet->host(set).ReadMerged(ctx.epochs, name, EventType::kCycles)
+              : ctx.db->ReadProfile(ctx.epochs[set], name, EventType::kCycles),
+        &grid[cell]);
   });
+  for (const Status& error : errors) {
+    if (error.ok()) continue;
+    std::fprintf(stderr, "%s\n", error.ToString().c_str());
+    return 1;
+  }
 
   std::vector<ProcedureSamples> sets;
   size_t profiles_read = 0;

@@ -110,31 +110,13 @@ Result<std::vector<std::shared_ptr<ExecutableImage>>> LoadImageSet(
   return images;
 }
 
-Result<ImageProfile> ReadMergedProfile(const ProfileDatabase& db,
-                                       const std::vector<uint32_t>& epochs,
-                                       const std::string& image_name,
-                                       EventType event) {
-  Result<ImageProfile> merged = NotFound(
-      "no " + std::string(EventTypeName(event)) + " profile for " + image_name);
-  for (uint32_t epoch : epochs) {
-    Result<ImageProfile> profile = db.ReadProfile(epoch, image_name, event);
-    if (!profile.ok()) continue;
-    if (merged.ok()) {
-      merged.value().Merge(profile.value());
-    } else {
-      merged = std::move(profile).value();
-    }
-  }
-  return merged;
-}
-
 Result<ImageProfile> ReadMergedProfile(const ToolContext& context,
                                        const std::string& image_name,
                                        EventType event) {
   if (context.fleet != nullptr) {
     return context.fleet->ReadProfile(context.epochs, image_name, event);
   }
-  return ReadMergedProfile(*context.db, context.epochs, image_name, event);
+  return context.db->ReadMerged(context.epochs, image_name, event);
 }
 
 std::vector<ProfInput> GatherProfInputs(System& system, EventType secondary) {

@@ -76,16 +76,10 @@ Result<ToolContext> OpenToolDatabase(const std::string& db_root,
 Result<std::vector<std::shared_ptr<ExecutableImage>>> LoadImageSet(
     const std::vector<std::string>& paths, int jobs);
 
-// Reads and merges one (image, event) profile across `epochs` (ascending
-// merge order, so the result is deterministic). NotFound if no epoch has
-// the profile.
-Result<ImageProfile> ReadMergedProfile(const ProfileDatabase& db,
-                                       const std::vector<uint32_t>& epochs,
-                                       const std::string& image_name,
-                                       EventType event);
-
-// Same through a ToolContext: dispatches to the single database or the
-// fleet merge-on-read path, whichever the context holds.
+// Reads one (image, event) profile merged across the context's epochs,
+// from the single database (ProfileDatabase::ReadMerged) or the fleet
+// merge-on-read path, whichever the context holds. NotFound if no epoch has
+// the profile; any other failure means a file could not be trusted.
 Result<ImageProfile> ReadMergedProfile(const ToolContext& context,
                                        const std::string& image_name,
                                        EventType event);

@@ -1,7 +1,8 @@
 // Exit-code contract for the CLI tools: 0 on success, 1 on analysis or
 // database failure, 2 on usage errors. Exercised by exec'ing the real
-// binaries (DCPI_BIN_DIR is injected by CMake) against a missing database
-// and against a multi-epoch database written by dcpi_sim --continuous.
+// binaries (DCPI_BIN_DIR is injected by CMake) against a missing database,
+// against a multi-epoch database written by dcpi_sim --continuous, and
+// against one with a corrupt profile file.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,10 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
+
+#include "src/support/binary_io.h"
+#include "tests/testgen.h"
 
 namespace dcpi {
 namespace {
@@ -25,11 +30,7 @@ int RunTool(const std::string& args) {
 
 class CliExitTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    root_ = "/tmp/dcpi_cli_exit_test";
-    std::filesystem::remove_all(root_);
-    std::filesystem::create_directories(root_);
-  }
+  void SetUp() override { root_ = testgen::UniqueTempRoot(); }
   void TearDown() override { std::filesystem::remove_all(root_); }
   std::string root_;
 };
@@ -149,6 +150,38 @@ TEST_F(CliExitTest, ContinuousPipelineExitsZeroAndEmptyEpochsExitOne) {
   EXPECT_EQ(RunTool("dcpidiff --fleet " + db + " 0 1 " + image), 1);
   EXPECT_EQ(RunTool("dcpiannotate --fleet " + db + " " + image + " " + source), 1);
   EXPECT_EQ(RunTool("dcpimem --fleet " + db + " " + image), 1);
+}
+
+TEST_F(CliExitTest, CorruptProfileInSelectedEpochExitsOne) {
+  // A profile file that exists but fails its checksum is a data failure:
+  // the readers must not skip it as if the image had not been profiled.
+  ASSERT_EQ(RunTool("dcpi_sim --continuous --epochs 2 copy " + root_ +
+                    " cycles 0.25"),
+            0);
+  const std::string db = root_ + "/db";
+  const std::string app_image = root_ + "/images/image_1.img";
+  EXPECT_EQ(RunTool("dcpiprof --epoch 0 --epoch 1 " + db + " " + app_image), 0);
+  EXPECT_EQ(RunTool("dcpicalc --epoch 0 --epoch 1 " + db + " " + app_image +
+                    " mccalpin_copy"),
+            0);
+
+  // Flip one byte in the middle of every epoch-1 profile.
+  int corrupted = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(db + "/epoch_1")) {
+    if (entry.path().extension() != ".prof") continue;
+    std::vector<uint8_t> bytes;
+    ASSERT_TRUE(ReadFile(entry.path().string(), &bytes).ok());
+    bytes[bytes.size() / 2] ^= 0xff;
+    ASSERT_TRUE(WriteFile(entry.path().string(), bytes).ok());
+    ++corrupted;
+  }
+  ASSERT_GT(corrupted, 0);
+  EXPECT_EQ(RunTool("dcpiprof --epoch 0 --epoch 1 " + db + " " + app_image), 1);
+  EXPECT_EQ(RunTool("dcpicalc --epoch 0 --epoch 1 " + db + " " + app_image +
+                    " mccalpin_copy"),
+            1);
+  // Epoch 0 alone is intact and still reads.
+  EXPECT_EQ(RunTool("dcpiprof --epoch 0 " + db + " " + app_image), 0);
 }
 
 TEST_F(CliExitTest, FleetPipelineExitsZero) {

@@ -14,6 +14,9 @@
 #include <vector>
 
 #include "src/isa/assembler.h"
+#include "src/profiledb/database.h"
+#include "src/support/binary_io.h"
+#include "tests/testgen.h"
 
 namespace dcpi {
 namespace {
@@ -293,6 +296,54 @@ TEST(Engine, MissingCyclesProfileYieldsErrorResult) {
   for (const ProcedureResult& r : epoch.procedures) {
     EXPECT_FALSE(r.status.ok());
   }
+}
+
+TEST(Engine, AnalyzeDatabaseFailsImagesWithCorruptProfiles) {
+  // Image "u"'s CYCLES file is corrupt in a read-only database: its
+  // procedures must come back as failures naming the file, not vanish as
+  // if "u" had been idle, while "t" still analyzes.
+  const std::string root = testgen::UniqueTempRoot();
+  Fixture f = MakeFixture();
+  std::shared_ptr<ExecutableImage> u = Assemble("u", 0x0200'0000, kSource).value();
+  ImageProfile u_cycles("u", EventType::kCycles, 100.0);
+  u_cycles.AddSamples(0, 9);
+  {
+    ProfileDatabase db(root);
+    ASSERT_TRUE(db.ReplaceProfile(f.cycles).ok());
+    ASSERT_TRUE(db.ReplaceProfile(u_cycles).ok());
+  }
+  const std::string u_path =
+      root + "/epoch_0/" + ProfileDatabase::ProfileFileName("u", EventType::kCycles);
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(ReadFile(u_path, &bytes).ok());
+  bytes[bytes.size() / 2] ^= 0xff;
+  ASSERT_TRUE(WriteFile(u_path, bytes).ok());
+
+  ProfileDatabase db(root, DbOpenMode::kReadOnly);
+  DatabaseAnalysisOptions opts;
+  opts.use_cache = false;
+  DatabaseAnalysis result =
+      AnalysisEngine().AnalyzeDatabase(db, {f.image, u}, AnalysisConfig(), opts);
+  ASSERT_EQ(result.per_epoch.size(), 1u);
+  const EpochAnalysisResult& epoch = result.per_epoch[0];
+  EXPECT_EQ(epoch.analyzed_images, (std::vector<size_t>{0, 1}));
+  const size_t t_procs = f.image->procedures().size();
+  ASSERT_EQ(epoch.analysis.procedures.size(), t_procs + u->procedures().size());
+  for (size_t i = 0; i < epoch.analysis.procedures.size(); ++i) {
+    const ProcedureResult& r = epoch.analysis.procedures[i];
+    if (i < t_procs) {
+      EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+      EXPECT_EQ(r.image_name, "t");
+    } else {
+      EXPECT_EQ(r.image_name, "u");
+      EXPECT_EQ(r.status.code(), StatusCode::kIoError);
+      EXPECT_NE(r.status.message().find(u_path), std::string::npos)
+          << r.status.ToString();
+    }
+  }
+  // Only the readable image's samples count.
+  EXPECT_EQ(epoch.cycles_samples, f.cycles.total_samples());
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

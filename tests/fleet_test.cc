@@ -14,18 +14,14 @@
 #include "src/profiledb/fleet.h"
 #include "src/support/binary_io.h"
 #include "src/tools/dcpiprof.h"
+#include "tests/testgen.h"
 
 namespace dcpi {
 namespace {
 
 class FleetTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    root_ = std::string("/tmp/dcpi_fleet_test_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(root_);
-    std::filesystem::create_directories(root_);
-  }
+  void SetUp() override { root_ = testgen::UniqueTempRoot(); }
   void TearDown() override { std::filesystem::remove_all(root_); }
 
   // Writes `profiles` as one sealed epoch of shard host_<id> under `fleet`.
@@ -33,13 +29,14 @@ class FleetTest : public ::testing::Test {
                          const std::vector<ImageProfile>& profiles) {
     ProfileDatabase db(fleet + "/host_" + std::to_string(id));
     ASSERT_TRUE(db.NewEpoch().ok());
-    for (const ImageProfile& p : profiles) ASSERT_TRUE(db.WriteProfile(p).ok());
+    for (const ImageProfile& p : profiles) ASSERT_TRUE(db.ReplaceProfile(p).ok());
     ASSERT_TRUE(db.SealCurrentEpoch().ok());
   }
 
   static ImageProfile MakeProfile(double period,
-                                  std::vector<std::pair<uint64_t, uint64_t>> counts) {
-    ImageProfile p("app", EventType::kCycles, period);
+                                  std::vector<std::pair<uint64_t, uint64_t>> counts,
+                                  const std::string& image = "app") {
+    ImageProfile p(image, EventType::kCycles, period);
     for (const auto& [offset, n] : counts) p.AddSamples(offset, n);
     return p;
   }
@@ -102,6 +99,72 @@ TEST_F(FleetTest, ProvenanceReportsPerHostSamples) {
   EXPECT_EQ(fleet.value().hosts[1].host, "host_1");
   EXPECT_EQ(fleet.value().hosts[1].samples, 32u);
   EXPECT_EQ(fleet.value().merged.total_samples(), 42u);
+}
+
+TEST_F(FleetTest, ProfileOnOneShardOnlyReadsThatShard) {
+  // host_1 never ran "app": its missing file means "not profiled there",
+  // not a failed read.
+  ImageProfile app = MakeProfile(1000, {{0, 10}, {8, 5}});
+  WriteShard(root_, 0, {app, MakeProfile(1000, {{0, 1}}, "lib")});
+  WriteShard(root_, 1, {MakeProfile(1000, {{0, 4}}, "lib")});
+  FleetView view(root_);
+  Result<FleetProfile> fleet =
+      view.ReadProfileWithProvenance({0}, "app", EventType::kCycles);
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  ASSERT_EQ(fleet.value().hosts.size(), 1u);
+  EXPECT_EQ(fleet.value().hosts[0].host, "host_0");
+  EXPECT_EQ(fleet.value().hosts[0].samples, 15u);
+  EXPECT_EQ(SerializeProfile(fleet.value().merged), SerializeProfile(app));
+  Result<ImageProfile> merged = view.ReadProfile({0}, "app", EventType::kCycles);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(SerializeProfile(merged.value()), SerializeProfile(app));
+  EXPECT_EQ(view.ReadProfile({0}, "ghost", EventType::kCycles).status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST_F(FleetTest, EpochOnOneShardOnlyReadsThatShard) {
+  // host_0 rolled into epoch 1; host_1 never did.
+  WriteShard(root_, 0, {MakeProfile(1000, {{0, 10}})});
+  ImageProfile late = MakeProfile(1000, {{4, 6}});
+  WriteShard(root_, 0, {late});
+  WriteShard(root_, 1, {MakeProfile(1000, {{0, 32}})});
+  FleetView view(root_);
+  ASSERT_EQ(view.ListEpochs(), (std::vector<uint32_t>{0, 1}));
+  Result<FleetProfile> fleet =
+      view.ReadProfileWithProvenance({1}, "app", EventType::kCycles);
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  ASSERT_EQ(fleet.value().hosts.size(), 1u);
+  EXPECT_EQ(fleet.value().hosts[0].host, "host_0");
+  EXPECT_EQ(fleet.value().hosts[0].samples, 6u);
+  EXPECT_EQ(SerializeProfile(fleet.value().merged), SerializeProfile(late));
+  Result<ImageProfile> both = view.ReadProfile({0, 1}, "app", EventType::kCycles);
+  ASSERT_TRUE(both.ok()) << both.status().ToString();
+  EXPECT_EQ(both.value().total_samples(), 48u);
+}
+
+TEST_F(FleetTest, MisplacedShardFileFailsMergeOnReadAndCompaction) {
+  // host_1's "lib" file is a copy of its "app" file. Merge-on-read goes by
+  // file name and compaction by header; both must refuse the file rather
+  // than disagree about whose samples it holds.
+  WriteShard(root_, 0, {MakeProfile(1000, {{0, 1}}, "lib")});
+  WriteShard(root_, 1, {MakeProfile(1000, {{0, 9}}),
+                        MakeProfile(1000, {{0, 4}}, "lib")});
+  const std::string epoch_dir = root_ + "/host_1/epoch_0/";
+  const std::string lib_path =
+      epoch_dir + ProfileDatabase::ProfileFileName("lib", EventType::kCycles);
+  std::filesystem::copy_file(
+      epoch_dir + ProfileDatabase::ProfileFileName("app", EventType::kCycles),
+      lib_path, std::filesystem::copy_options::overwrite_existing);
+
+  FleetView view(root_);
+  Result<ImageProfile> lib = view.ReadProfile({0}, "lib", EventType::kCycles);
+  ASSERT_FALSE(lib.ok());
+  EXPECT_NE(lib.status().message().find(lib_path), std::string::npos)
+      << lib.status().ToString();
+  Status compacted = CompactFleet(view, root_ + "/merged", {0});
+  ASSERT_FALSE(compacted.ok());
+  EXPECT_NE(compacted.message().find(lib_path), std::string::npos)
+      << compacted.ToString();
 }
 
 TEST_F(FleetTest, EmptyShardProfilesMergeToFiniteMeanPeriod) {
@@ -178,7 +241,7 @@ TEST_F(FleetTest, MixedSealEpochsAreNotFleetSealed) {
   {
     ProfileDatabase open_shard(root_ + "/host_1");
     ASSERT_TRUE(open_shard.NewEpoch().ok());
-    ASSERT_TRUE(open_shard.WriteProfile(MakeProfile(1000, {{0, 2}})).ok());
+    ASSERT_TRUE(open_shard.ReplaceProfile(MakeProfile(1000, {{0, 2}})).ok());
     // not sealed
   }
   FleetView view(root_);

@@ -17,17 +17,14 @@
 #include "src/profiledb/fleet.h"
 #include "src/support/binary_io.h"
 #include "src/support/crc32.h"
+#include "tests/testgen.h"
 
 namespace dcpi {
 namespace {
 
 class ProfileDbCrashTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    root_ = std::string("/tmp/dcpi_crash_test_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(root_);
-  }
+  void SetUp() override { root_ = testgen::UniqueTempRoot(); }
   void TearDown() override {
     SetFaultInjectingEnv(nullptr);
     std::filesystem::remove_all(root_);
@@ -62,15 +59,17 @@ TEST_F(ProfileDbCrashTest, EveryFaultPointLeavesEpochConsistent) {
       {
         ProfileDatabase db(root_);
         // Flush 1: the pre-flush state (a=5, b=7 in epoch 0).
-        ASSERT_TRUE(db.WriteProfile(MakeProfile("a", 5)).ok());
-        ASSERT_TRUE(db.WriteProfile(MakeProfile("b", 7)).ok());
-        // Flush 2 with a fault injected at write `nth`: at most one of the
-        // two writes fails, and the failure is reported, not swallowed.
+        ASSERT_TRUE(db.ReplaceProfile(MakeProfile("a", 5)).ok());
+        ASSERT_TRUE(db.ReplaceProfile(MakeProfile("b", 7)).ok());
+        // Flush 2 writes the epoch's grown cumulative profiles (a=8,
+        // b=11), as the daemon does, with a fault injected at write `nth`:
+        // at most one of the two writes fails, and the failure is
+        // reported, not swallowed.
         FaultInjectingEnv env;
         env.FailNthWrite(nth, fault);
         SetFaultInjectingEnv(&env);
-        Status wrote_a = db.WriteProfile(MakeProfile("a", 3));
-        Status wrote_b = db.WriteProfile(MakeProfile("b", 4));
+        Status wrote_a = db.ReplaceProfile(MakeProfile("a", 8));
+        Status wrote_b = db.ReplaceProfile(MakeProfile("b", 11));
         SetFaultInjectingEnv(nullptr);
         EXPECT_NE(wrote_a.ok(), nth == 1);
         EXPECT_NE(wrote_b.ok(), nth == 2);
@@ -98,9 +97,9 @@ TEST_F(ProfileDbCrashTest, CorruptFileIsQuarantinedOnReopen) {
   std::string path;
   {
     ProfileDatabase db(root_);
-    ASSERT_TRUE(db.WriteProfile(MakeProfile("a", 5)).ok());
-    ASSERT_TRUE(db.WriteProfile(MakeProfile("b", 7)).ok());
-    ASSERT_TRUE(db.WriteProfile(MakeProfile("c", 9)).ok());
+    ASSERT_TRUE(db.ReplaceProfile(MakeProfile("a", 5)).ok());
+    ASSERT_TRUE(db.ReplaceProfile(MakeProfile("b", 7)).ok());
+    ASSERT_TRUE(db.ReplaceProfile(MakeProfile("c", 9)).ok());
     path = db.root() + "/epoch_0/" +
            ProfileDatabase::ProfileFileName("b", EventType::kCycles);
   }
@@ -132,7 +131,7 @@ TEST_F(ProfileDbCrashTest, TruncatedOnDiskFileIsQuarantined) {
   std::string path;
   {
     ProfileDatabase db(root_);
-    ASSERT_TRUE(db.WriteProfile(MakeProfile("a", 5)).ok());
+    ASSERT_TRUE(db.ReplaceProfile(MakeProfile("a", 5)).ok());
     path = db.root() + "/epoch_0/" +
            ProfileDatabase::ProfileFileName("a", EventType::kCycles);
   }
@@ -151,14 +150,14 @@ TEST_F(ProfileDbCrashTest, TruncatedOnDiskFileIsQuarantined) {
 TEST_F(ProfileDbCrashTest, ReopenResumesAtNextEpoch) {
   {
     ProfileDatabase db(root_);
-    ASSERT_TRUE(db.WriteProfile(MakeProfile("a", 5)).ok());
+    ASSERT_TRUE(db.ReplaceProfile(MakeProfile("a", 5)).ok());
     ASSERT_TRUE(db.NewEpoch().ok());
-    ASSERT_TRUE(db.WriteProfile(MakeProfile("a", 7)).ok());
+    ASSERT_TRUE(db.ReplaceProfile(MakeProfile("a", 7)).ok());
   }
   ProfileDatabase db(root_);
   EXPECT_EQ(db.scan_report().epochs_found, 2u);
   EXPECT_EQ(db.scan_report().next_epoch, 2u);
-  ASSERT_TRUE(db.WriteProfile(MakeProfile("a", 11)).ok());
+  ASSERT_TRUE(db.ReplaceProfile(MakeProfile("a", 11)).ok());
   EXPECT_EQ(db.current_epoch(), 2u);
   // The previous run's epochs are untouched: no cross-run merge.
   EXPECT_EQ(SamplesOrZero(db, 0, "a"), 5u);
@@ -173,7 +172,7 @@ TEST_F(ProfileDbCrashTest, InterruptedFlushDoesNotAdvanceEpochNumbering) {
     FaultInjectingEnv env;
     env.FailNthWrite(1, WriteFault::kTruncatedTemp);
     SetFaultInjectingEnv(&env);
-    EXPECT_FALSE(db.WriteProfile(MakeProfile("a", 5)).ok());
+    EXPECT_FALSE(db.ReplaceProfile(MakeProfile("a", 5)).ok());
     SetFaultInjectingEnv(nullptr);
   }
   // Only a tmp file exists in epoch 0; it is quarantined and the epoch dir
@@ -234,8 +233,6 @@ TEST_F(ProfileDbCrashTest, DaemonFlushReportsPersistentFailureAndContinues) {
   EXPECT_EQ(imiss.value().SamplesAt(0), 20u);
 }
 
-// ---- Legacy compatibility ----
-
 TEST_F(ProfileDbCrashTest, ReadOnlyScanRescansWhenEpochSealsMidScan) {
   // Race regression: a concurrent writer's final flush and .sealed marker
   // land in the window between the read-only scan's directory listing and
@@ -245,7 +242,7 @@ TEST_F(ProfileDbCrashTest, ReadOnlyScanRescansWhenEpochSealsMidScan) {
   {
     ProfileDatabase db(root_);
     ASSERT_TRUE(db.NewEpoch().ok());
-    ASSERT_TRUE(db.WriteProfile(MakeProfile("early", 3)).ok());
+    ASSERT_TRUE(db.ReplaceProfile(MakeProfile("early", 3)).ok());
     // not sealed: the writer is still mid-epoch
   }
   FaultInjectingEnv env;
@@ -286,7 +283,7 @@ TEST_F(ProfileDbCrashTest, ReadWriteScanDoesNotRescan) {
   {
     ProfileDatabase db(root_);
     ASSERT_TRUE(db.NewEpoch().ok());
-    ASSERT_TRUE(db.WriteProfile(MakeProfile("app", 2)).ok());
+    ASSERT_TRUE(db.ReplaceProfile(MakeProfile("app", 2)).ok());
     ASSERT_TRUE(db.SealCurrentEpoch().ok());
   }
   FaultInjectingEnv env;
@@ -299,17 +296,71 @@ TEST_F(ProfileDbCrashTest, ReadWriteScanDoesNotRescan) {
   EXPECT_EQ(reopened.scan_report().files_checked, 1u);
 }
 
-TEST_F(ProfileDbCrashTest, LegacyFileNamesAndFormatsStayReadable) {
-  // A database written before this change: v2 bytes under the old
-  // '/'-to-'_' file name.
+TEST_F(ProfileDbCrashTest, CorruptEpochFailsReadMergedInReadOnlyDb) {
+  // A read-only open never quarantines, so a corrupt file in a selected
+  // epoch reaches the reader: the fold must fail and name the file, not
+  // return the other epochs' samples as if the image had been idle.
+  {
+    ProfileDatabase db(root_);
+    ASSERT_TRUE(db.ReplaceProfile(MakeProfile("a", 5)).ok());
+    ASSERT_TRUE(db.NewEpoch().ok());
+    ASSERT_TRUE(db.ReplaceProfile(MakeProfile("a", 7)).ok());
+  }
+  const std::string path =
+      root_ + "/epoch_1/" + ProfileDatabase::ProfileFileName("a", EventType::kCycles);
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(ReadFile(path, &bytes).ok());
+  bytes[bytes.size() / 2] ^= 0xff;
+  ASSERT_TRUE(WriteFile(path, bytes).ok());
+
+  ProfileDatabase db(root_, DbOpenMode::kReadOnly);
+  Result<ImageProfile> merged = db.ReadMerged({0, 1}, "a", EventType::kCycles);
+  ASSERT_FALSE(merged.ok());
+  EXPECT_EQ(merged.status().code(), StatusCode::kIoError);
+  EXPECT_NE(merged.status().message().find(path), std::string::npos)
+      << merged.status().ToString();
+  Result<ImageProfile> intact = db.ReadMerged({0}, "a", EventType::kCycles);
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+  EXPECT_EQ(intact.value().SamplesAt(0), 5u);
+}
+
+// ---- Version-2 compatibility ----
+
+// Nothing writes version 2 any more. A v2 file is the v3 encoding with
+// version byte 2 and no CRC32 trailer.
+std::vector<uint8_t> V2Bytes(const ImageProfile& profile) {
+  std::vector<uint8_t> bytes = SerializeProfile(profile);
+  bytes.resize(bytes.size() - kProfileCrcBytes);
+  bytes[4] = 2;
+  return bytes;
+}
+
+TEST(V2Format, DerivedBytesMatchAFileTheV2WriterProduced) {
+  // A fixture written by the removed v2 encoder: image "a/b", CYCLES,
+  // period 1000, 5 samples at offset 0 and 2 at offset 8.
+  const std::vector<uint8_t> kV2Fixture = {
+      0x49, 0x50, 0x43, 0x44, 0x02, 0x03, 0x61, 0x2f, 0x62, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x40, 0x8f, 0x40, 0x02, 0x00, 0x05, 0x08, 0x02};
+  ImageProfile profile("a/b", EventType::kCycles, 1000.0);
+  profile.AddSamples(0, 5);
+  profile.AddSamples(8, 2);
+  EXPECT_EQ(V2Bytes(profile), kV2Fixture);
+  Result<ImageProfile> read = DeserializeProfile(kV2Fixture);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(SerializeProfile(read.value()), SerializeProfile(profile));
+}
+
+TEST_F(ProfileDbCrashTest, V2FilesStayReadable) {
+  // A version-2 file under its (escaped) name is recovered by the scan
+  // and read like any other.
   ImageProfile old_profile("a/b", EventType::kCycles, 1000.0);
   old_profile.AddSamples(0, 5);
   old_profile.AddSamples(8, 2);
   std::filesystem::create_directories(root_ + "/epoch_0");
-  std::string legacy_path =
-      root_ + "/epoch_0/" +
-      ProfileDatabase::LegacyProfileFileName("a/b", EventType::kCycles);
-  ASSERT_TRUE(WriteFile(legacy_path, SerializeProfileV2(old_profile)).ok());
+  ASSERT_TRUE(WriteFile(root_ + "/epoch_0/" +
+                            ProfileDatabase::ProfileFileName("a/b", EventType::kCycles),
+                        V2Bytes(old_profile))
+                  .ok());
 
   ProfileDatabase db(root_);
   EXPECT_EQ(db.scan_report().files_recovered, 1u);
@@ -318,25 +369,6 @@ TEST_F(ProfileDbCrashTest, LegacyFileNamesAndFormatsStayReadable) {
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(read.value().SamplesAt(0), 5u);
   EXPECT_EQ(read.value().SamplesAt(8), 2u);
-}
-
-TEST_F(ProfileDbCrashTest, WriteMergesLegacyNamedFileInCurrentEpoch) {
-  ProfileDatabase db(root_);
-  ASSERT_TRUE(db.NewEpoch().ok());
-  // A legacy-named v2 file appears in the epoch the daemon is writing to
-  // (a database upgraded mid-run); the next write must fold it in rather
-  // than splitting the image's samples across two files.
-  ImageProfile old_profile("a/b", EventType::kCycles, 1000.0);
-  old_profile.AddSamples(0, 5);
-  ASSERT_TRUE(WriteFile(root_ + "/epoch_0/" +
-                            ProfileDatabase::LegacyProfileFileName(
-                                "a/b", EventType::kCycles),
-                        SerializeProfileV2(old_profile)).ok());
-
-  ImageProfile update("a/b", EventType::kCycles, 1000.0);
-  update.AddSamples(0, 3);
-  ASSERT_TRUE(db.WriteProfile(update).ok());
-  EXPECT_EQ(SamplesOrZero(db, 0, "a/b"), 8u);
 }
 
 // ---- Adversarial deserialization ----
@@ -360,7 +392,7 @@ TEST(DeserializeAdversarial, TruncationAtEveryByteBoundaryIsAnError) {
 TEST(DeserializeAdversarial, LegacyTruncationIsAnErrorNotAPartialProfile) {
   // v2 has no checksum, so truncation must be caught structurally; a
   // truncated file must never come back as a success with fewer counts.
-  std::vector<uint8_t> bytes = SerializeProfileV2(SampleRichProfile());
+  std::vector<uint8_t> bytes = V2Bytes(SampleRichProfile());
   for (size_t len = 0; len < bytes.size(); ++len) {
     std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + len);
     EXPECT_FALSE(DeserializeProfile(prefix).ok()) << "prefix of " << len;
@@ -371,7 +403,7 @@ TEST(DeserializeAdversarial, LegacyTruncationIsAnErrorNotAPartialProfile) {
 TEST(DeserializeAdversarial, TrailingGarbageIsAnError) {
   for (std::vector<uint8_t> bytes :
        {SerializeProfile(SampleRichProfile()),
-        SerializeProfileV2(SampleRichProfile()),
+        V2Bytes(SampleRichProfile()),
         SerializeProfileFixedWidth(SampleRichProfile())}) {
     bytes.push_back(0x00);
     EXPECT_FALSE(DeserializeProfile(bytes).ok());
@@ -523,12 +555,11 @@ TEST(MemorySection, FleetMergesMixedVersionShards) {
   // host_0 collected without memory sampling (v3 on disk), host_1 with it
   // (v4): the fleet-wide merge-on-read carries host_1's memory axis and
   // sums both hosts' PC samples.
-  const std::string root = "/tmp/dcpi_crash_test_mixed_fleet";
-  std::filesystem::remove_all(root);
+  const std::string root = testgen::UniqueTempRoot();
   auto write_shard = [&](uint32_t id, const ImageProfile& profile) {
     ProfileDatabase db(root + "/host_" + std::to_string(id));
     ASSERT_TRUE(db.NewEpoch().ok());
-    ASSERT_TRUE(db.WriteProfile(profile).ok());
+    ASSERT_TRUE(db.ReplaceProfile(profile).ok());
     ASSERT_TRUE(db.SealCurrentEpoch().ok());
   };
   write_shard(0, SampleRichProfile());

@@ -10,20 +10,16 @@
 #include "src/daemon/daemon.h"
 #include "src/isa/assembler.h"
 #include "src/profiledb/database.h"
+#include "src/support/binary_io.h"
 #include "src/support/rng.h"
+#include "tests/testgen.h"
 
 namespace dcpi {
 namespace {
 
 class DbTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // Unique per-test directory: the cases run concurrently under ctest -j
-    // and must not collide in SetUp/TearDown remove_all.
-    root_ = std::string("/tmp/dcpi_db_test_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(root_);
-  }
+  void SetUp() override { root_ = testgen::UniqueTempRoot(); }
   void TearDown() override { std::filesystem::remove_all(root_); }
   std::string root_;
 };
@@ -56,33 +52,15 @@ TEST_F(DbTest, VarintFormatCompressesVsFixedWidth) {
   EXPECT_LT(varint_size * 3, fixed_size + 100);
 }
 
-TEST_F(DbTest, WriteMergesWithExistingFile) {
-  ProfileDatabase db(root_);
-  ImageProfile a("img", EventType::kCycles, 1000);
-  a.AddSamples(0, 5);
-  a.AddSamples(8, 2);
-  ASSERT_TRUE(db.WriteProfile(a).ok());
-  ImageProfile b("img", EventType::kCycles, 1000);
-  b.AddSamples(0, 3);
-  b.AddSamples(16, 1);
-  ASSERT_TRUE(db.WriteProfile(b).ok());
-
-  Result<ImageProfile> merged = db.ReadProfile(0, "img", EventType::kCycles);
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(merged.value().SamplesAt(0), 8u);
-  EXPECT_EQ(merged.value().SamplesAt(8), 2u);
-  EXPECT_EQ(merged.value().SamplesAt(16), 1u);
-}
-
 TEST_F(DbTest, EpochsAreSeparate) {
   ProfileDatabase db(root_);
   ImageProfile a("img", EventType::kCycles, 1000);
   a.AddSamples(0, 1);
-  ASSERT_TRUE(db.WriteProfile(a).ok());
+  ASSERT_TRUE(db.ReplaceProfile(a).ok());
   ASSERT_TRUE(db.NewEpoch().ok());
   ImageProfile b("img", EventType::kCycles, 1000);
   b.AddSamples(0, 7);
-  ASSERT_TRUE(db.WriteProfile(b).ok());
+  ASSERT_TRUE(db.ReplaceProfile(b).ok());
   EXPECT_EQ(db.ReadProfile(0, "img", EventType::kCycles).value().SamplesAt(0), 1u);
   EXPECT_EQ(db.ReadProfile(1, "img", EventType::kCycles).value().SamplesAt(0), 7u);
   EXPECT_GT(db.DiskUsageBytes(), 0u);
@@ -91,9 +69,6 @@ TEST_F(DbTest, EpochsAreSeparate) {
 TEST_F(DbTest, FileNamesEscapeSlashesAndUnderscores) {
   EXPECT_EQ(ProfileDatabase::ProfileFileName("/usr/shlib/libm.so", EventType::kCycles),
             "_susr_sshlib_slibm.so__cycles.prof");
-  EXPECT_EQ(ProfileDatabase::LegacyProfileFileName("/usr/shlib/libm.so",
-                                                   EventType::kCycles),
-            "_usr_shlib_libm.so__cycles.prof");
   // The old '/'-to-'_' sanitizer mapped "a/b" and "a_b" to the same file;
   // the escaping scheme must keep them distinct.
   EXPECT_NE(ProfileDatabase::ProfileFileName("a/b", EventType::kCycles),
@@ -108,10 +83,87 @@ TEST_F(DbTest, DistinctImagesNeverShareAFile) {
   slash.AddSamples(0, 5);
   ImageProfile underscore("a_b", EventType::kCycles, 1000);
   underscore.AddSamples(0, 9);
-  ASSERT_TRUE(db.WriteProfile(slash).ok());
-  ASSERT_TRUE(db.WriteProfile(underscore).ok());
+  ASSERT_TRUE(db.ReplaceProfile(slash).ok());
+  ASSERT_TRUE(db.ReplaceProfile(underscore).ok());
   EXPECT_EQ(db.ReadProfile(0, "a/b", EventType::kCycles).value().SamplesAt(0), 5u);
   EXPECT_EQ(db.ReadProfile(0, "a_b", EventType::kCycles).value().SamplesAt(0), 9u);
+}
+
+TEST_F(DbTest, NamesThatOnceCollidedKeepTheirOwnFiles) {
+  // The pre-escaping name of "/shlib" was "_shlib__cycles.prof", which is
+  // the escaped name of "/hlib". Writing one must not remove or shadow the
+  // other, and an image with no file reads as absent, not as its neighbour.
+  ProfileDatabase db(root_);
+  ImageProfile hlib("/hlib", EventType::kCycles, 1000);
+  hlib.AddSamples(0, 5);
+  ImageProfile shlib("/shlib", EventType::kCycles, 1000);
+  shlib.AddSamples(4, 9);
+  ASSERT_TRUE(db.ReplaceProfile(hlib).ok());
+  Result<ImageProfile> unwritten = db.ReadProfile(0, "/shlib", EventType::kCycles);
+  EXPECT_EQ(unwritten.status().code(), StatusCode::kNotFound)
+      << unwritten.status().ToString();
+  ASSERT_TRUE(db.ReplaceProfile(shlib).ok());
+
+  Result<ImageProfile> read_hlib = db.ReadProfile(0, "/hlib", EventType::kCycles);
+  ASSERT_TRUE(read_hlib.ok()) << read_hlib.status().ToString();
+  EXPECT_EQ(read_hlib.value().counts(), hlib.counts());
+  Result<ImageProfile> read_shlib = db.ReadProfile(0, "/shlib", EventType::kCycles);
+  ASSERT_TRUE(read_shlib.ok()) << read_shlib.status().ToString();
+  EXPECT_EQ(read_shlib.value().counts(), shlib.counts());
+}
+
+TEST_F(DbTest, ReadRejectsAFileWhoseHeaderNamesAnotherImage) {
+  // One image's file copied over another image's name (misplaced or
+  // hostile): its header disagrees with its name, so it is not trusted as
+  // either image's profile.
+  ProfileDatabase db(root_);
+  ImageProfile a("a", EventType::kCycles, 1000);
+  a.AddSamples(0, 5);
+  ImageProfile b("b", EventType::kCycles, 1000);
+  b.AddSamples(0, 9);
+  ASSERT_TRUE(db.ReplaceProfile(a).ok());
+  ASSERT_TRUE(db.ReplaceProfile(b).ok());
+  const std::string epoch_dir = root_ + "/epoch_0/";
+  const std::string b_path =
+      epoch_dir + ProfileDatabase::ProfileFileName("b", EventType::kCycles);
+  std::filesystem::copy_file(
+      epoch_dir + ProfileDatabase::ProfileFileName("a", EventType::kCycles), b_path,
+      std::filesystem::copy_options::overwrite_existing);
+
+  Result<ImageProfile> read = db.ReadProfile(0, "b", EventType::kCycles);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kIoError);
+  EXPECT_NE(read.status().message().find(b_path), std::string::npos)
+      << read.status().ToString();
+  EXPECT_FALSE(db.ReadMerged({0}, "b", EventType::kCycles).ok());
+  EXPECT_TRUE(db.ReadProfile(0, "a", EventType::kCycles).ok());
+}
+
+TEST_F(DbTest, ReadMergedFoldsEpochsAndSkipsAbsentOnes) {
+  ProfileDatabase db(root_);
+  ImageProfile first("img", EventType::kCycles, 1000);
+  first.AddSamples(0, 5);
+  ASSERT_TRUE(db.ReplaceProfile(first).ok());
+  ASSERT_TRUE(db.NewEpoch().ok());
+  ImageProfile other("other", EventType::kCycles, 1000);
+  other.AddSamples(0, 1);
+  ASSERT_TRUE(db.ReplaceProfile(other).ok());  // epoch 1 lacks "img"
+  ASSERT_TRUE(db.NewEpoch().ok());
+  ImageProfile third("img", EventType::kCycles, 4000);
+  third.AddSamples(0, 3);
+  third.AddSamples(8, 2);
+  ASSERT_TRUE(db.ReplaceProfile(third).ok());
+
+  // Any epoch order folds the same way: ascending.
+  Result<ImageProfile> merged = db.ReadMerged({2, 1, 0}, "img", EventType::kCycles);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  ImageProfile expected = first;
+  expected.Merge(third);
+  EXPECT_EQ(SerializeProfile(merged.value()), SerializeProfile(expected));
+  EXPECT_EQ(db.ReadMerged({1}, "img", EventType::kCycles).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(db.ReadMerged({7, 8}, "img", EventType::kCycles).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(DbTest, MergeWeightsMeanPeriodBySamples) {
@@ -157,13 +209,13 @@ TEST_F(DbTest, ReopeningPopulatedRootResumesEpochNumbering) {
     ProfileDatabase db(root_);
     ImageProfile a("img", EventType::kCycles, 1000);
     a.AddSamples(0, 5);
-    ASSERT_TRUE(db.WriteProfile(a).ok());
+    ASSERT_TRUE(db.ReplaceProfile(a).ok());
   }
   ProfileDatabase db(root_);
   EXPECT_EQ(db.scan_report().next_epoch, 1u);
   ImageProfile b("img", EventType::kCycles, 1000);
   b.AddSamples(0, 3);
-  ASSERT_TRUE(db.WriteProfile(b).ok());
+  ASSERT_TRUE(db.ReplaceProfile(b).ok());
   // The second run's samples land in a fresh epoch, not merged into the
   // first run's epoch 0.
   EXPECT_EQ(db.ReadProfile(0, "img", EventType::kCycles).value().SamplesAt(0), 5u);
@@ -172,7 +224,8 @@ TEST_F(DbTest, ReopeningPopulatedRootResumesEpochNumbering) {
 
 TEST_F(DbTest, ReadMissingProfileFails) {
   ProfileDatabase db(root_);
-  EXPECT_FALSE(db.ReadProfile(0, "ghost", EventType::kCycles).ok());
+  EXPECT_EQ(db.ReadProfile(0, "ghost", EventType::kCycles).status().code(),
+            StatusCode::kNotFound);
 }
 
 // ---- Daemon ----

@@ -240,6 +240,16 @@ TEST_F(AtomicWriteTest, ReadFileEnforcesSizeCap) {
   EXPECT_EQ(read.size(), 100u);
 }
 
+TEST_F(AtomicWriteTest, ReadFileTellsAbsentFromUnreadable) {
+  std::vector<uint8_t> read;
+  EXPECT_EQ(ReadFile(dir_ + "/absent.bin", &read).code(), StatusCode::kNotFound);
+  // A path through a regular file exists in part but cannot be opened: an
+  // I/O error, not "absent".
+  std::string file = dir_ + "/file.bin";
+  ASSERT_TRUE(WriteFile(file, {1, 2, 3}).ok());
+  EXPECT_EQ(ReadFile(file + "/child", &read).code(), StatusCode::kIoError);
+}
+
 TEST(RunningStat, MomentsMatchDirectComputation) {
   RunningStat stat;
   std::vector<double> xs = {3, 7, 7, 19, 24, 1.5, -2};

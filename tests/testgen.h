@@ -1,6 +1,7 @@
-// Shared seeded generators for property tests: random connected
-// multigraphs (cycle-equivalence inputs) and random procedure sources
-// (assembled into images for CFG / frequency / verification tests).
+// Shared test helpers: a per-test scratch directory, and seeded generators
+// for property tests: random connected multigraphs (cycle-equivalence
+// inputs) and random procedure sources (assembled into images for CFG /
+// frequency / verification tests).
 //
 // Generators take the trial index and total trial count so sizes ramp from
 // minimal upward: when a property fails, the first failing trial is close
@@ -10,7 +11,11 @@
 #ifndef TESTS_TESTGEN_H_
 #define TESTS_TESTGEN_H_
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +25,22 @@
 
 namespace dcpi {
 namespace testgen {
+
+// A fresh, empty scratch directory for the running test:
+// <tmp>/dcpi_<pid>_<suite>.<test>. ctest -j runs every case as its own
+// process, so the pid and the test name keep concurrent cases (and reruns
+// of the same case) from deleting each other's files.
+inline std::string UniqueTempRoot() {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string root = (std::filesystem::temp_directory_path() /
+                      ("dcpi_" + std::to_string(::getpid()) + "_" +
+                       info->test_suite_name() + "." + info->name()))
+                         .string();
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  return root;
+}
 
 // Linear ramp from lo to hi across the trial sequence.
 inline int Ramp(int trial, int total_trials, int lo, int hi) {

@@ -25,8 +25,9 @@ struct RunSpec {
   uint32_t rng_seed = 1;
   std::string db_root;
   // Collection-path configuration, so the before/after benches can pit the
-  // shipped Section 5.4 defaults against the 1997 baseline
-  // (HashTableConfig::Legacy() + batched_ingest = false).
+  // shipped Section 5.4 hash table against the 1997 baseline
+  // (HashTableConfig::Legacy()); the 1997 daemon column is priced from the
+  // same run's counts by LegacyDaemonCycles().
   DriverConfig driver;
   DaemonConfig daemon;
   double mem_fraction = 0.0;  // fraction of samples taken as wide records

@@ -36,7 +36,8 @@
 #   result cache, the continuous epoch-roll path, the fleet shard
 #   collection + merge-on-read path, the Section 5.4 collection hot path
 #   (6-way swap-to-front table + batched daemon ingest vs the 1997
-#   baseline, with its miss-path/daemon-cost gates), and the wide-record
+#   baseline, whose daemon cost is priced from the same run's counts, with
+#   its miss-path/daemon-cost gates), and the wide-record
 #   memory-sampling path (fraction-0 neutrality + false-sharing detection
 #   gates) are exercised end-to-end under TSan/ASan (tiny sizes).
 
@@ -139,7 +140,7 @@ run_config() {
     (cd "$dir" && ./bench/bench_table4_overhead_components --smoke)
     echo "=== bench smoke ($dir): wide-record memory sampling under sanitizers ==="
     (cd "$dir" && ./bench/bench_mem_sampling --smoke)
-    echo "=== bench smoke ($dir): collection micro head-to-heads under sanitizers ==="
+    echo "=== bench smoke ($dir): collection micro benchmarks under sanitizers ==="
     (cd "$dir" && ./bench/bench_micro_collection \
         --benchmark_filter='Policy|Ingest' --benchmark_min_time=0.01 \
         --benchmark_out=BENCH_micro_collection.json --benchmark_out_format=json)

@@ -6,7 +6,15 @@
 namespace dcpi {
 
 namespace {
+
 constexpr char kUnknownImage[] = "unknown";
+
+// A snapshot taken mid-collection loads its counters one by one, so clamp
+// rather than let a torn read wrap around.
+uint64_t NarrowRecords(const DaemonStats& stats) {
+  return stats.records_processed - std::min(stats.wide_records, stats.records_processed);
+}
+
 }  // namespace
 
 Daemon::Daemon(DcpiDriver* driver, ProfileDatabase* database,
@@ -103,15 +111,6 @@ Daemon::ProfileSlot* Daemon::SlotFor(const std::string& image_name, EventType ev
   return it->second.get();
 }
 
-void Daemon::ProcessBuffer(uint32_t cpu_id, const std::vector<OverflowRecord>& records) {
-  daemon_cycles_.fetch_add(config_.cycles_per_buffer_flush, std::memory_order_relaxed);
-  if (config_.batched_ingest) {
-    IngestBatched(cpu_id, records);
-  } else {
-    IngestPerSample(cpu_id, records);
-  }
-}
-
 void Daemon::ProcessBuffer(uint32_t cpu_id, const std::vector<SampleRecord>& records) {
   std::vector<OverflowRecord> wrapped;
   wrapped.reserve(records.size());
@@ -121,58 +120,7 @@ void Daemon::ProcessBuffer(uint32_t cpu_id, const std::vector<SampleRecord>& rec
   ProcessBuffer(cpu_id, wrapped);
 }
 
-void Daemon::IngestPerSample(uint32_t cpu_id, const std::vector<OverflowRecord>& records) {
-  ReaderMutexLock maps_lock(&maps_mu_);
-  for (const OverflowRecord& overflow : records) {
-    records_processed_.fetch_add(1, std::memory_order_relaxed);
-    if (overflow.kind == OverflowRecord::Kind::kWide) {
-      const WideSampleRecord& wide = overflow.wide;
-      daemon_cycles_.fetch_add(config_.cycles_per_wide_record,
-                               std::memory_order_relaxed);
-      wide_records_.fetch_add(1, std::memory_order_relaxed);
-      samples_since_roll_.fetch_add(1, std::memory_order_relaxed);
-      const Mapping* mapping = ResolvePc(wide.pid, wide.pc);
-      ProfileSlot* slot;
-      uint64_t offset;
-      if (mapping == nullptr) {
-        samples_unknown_.fetch_add(1, std::memory_order_relaxed);
-        slot = SlotFor(kUnknownImage, wide.event);
-        offset = 0;
-      } else {
-        samples_attributed_.fetch_add(1, std::memory_order_relaxed);
-        slot = SlotFor(mapping->image->name(), wide.event);
-        offset = wide.pc - mapping->start;
-      }
-      MutexLock lock(&slot->mu);
-      // A wide record carries exactly one sample: the PC axis stays
-      // unbiased while the record also feeds the data-line axis.
-      slot->profile.AddSamples(offset, 1);
-      if (wide.has_data) {
-        slot->profile.mutable_mem()->AddAccess(wide.data_va, wide.level,
-                                               wide.latency, wide.tlb_miss, cpu_id);
-      }
-      continue;
-    }
-    const SampleRecord& record = overflow.narrow;
-    daemon_cycles_.fetch_add(config_.cycles_per_record, std::memory_order_relaxed);
-    if (record.count == 0) continue;  // carries no samples
-    samples_since_roll_.fetch_add(record.count, std::memory_order_relaxed);
-    const Mapping* mapping = ResolvePc(record.key.pid, record.key.pc);
-    if (mapping == nullptr) {
-      samples_unknown_.fetch_add(record.count, std::memory_order_relaxed);
-      ProfileSlot* slot = SlotFor(kUnknownImage, record.key.event);
-      MutexLock lock(&slot->mu);
-      slot->profile.AddSamples(0, record.count);
-      continue;
-    }
-    samples_attributed_.fetch_add(record.count, std::memory_order_relaxed);
-    ProfileSlot* slot = SlotFor(mapping->image->name(), record.key.event);
-    MutexLock lock(&slot->mu);
-    slot->profile.AddSamples(record.key.pc - mapping->start, record.count);
-  }
-}
-
-void Daemon::IngestBatched(uint32_t cpu_id, const std::vector<OverflowRecord>& records) {
+void Daemon::ProcessBuffer(uint32_t cpu_id, const std::vector<OverflowRecord>& records) {
   // Pass 1 (load-map lookups only): resolve every record to its slot and
   // image-relative offset, grouping consecutive work per (image, event).
   // The group list is tiny (one entry per distinct image x event in the
@@ -189,7 +137,6 @@ void Daemon::IngestBatched(uint32_t cpu_id, const std::vector<OverflowRecord>& r
   std::vector<Group> groups;
   uint64_t attributed = 0;
   uint64_t unknown = 0;
-  uint64_t narrow_count = 0;
   uint64_t wide_count = 0;
   {
     ReaderMutexLock maps_lock(&maps_mu_);
@@ -210,7 +157,6 @@ void Daemon::IngestBatched(uint32_t cpu_id, const std::vector<OverflowRecord>& r
         pc = overflow.narrow.key.pc;
         event = overflow.narrow.key.event;
         count = overflow.narrow.count;
-        ++narrow_count;
         if (count == 0) continue;  // carries no samples
       }
       const Mapping* mapping = ResolvePc(pid, pc);
@@ -271,11 +217,8 @@ void Daemon::IngestBatched(uint32_t cpu_id, const std::vector<OverflowRecord>& r
                                                    cpu_id);
     }
   }
+  buffers_.fetch_add(1, std::memory_order_relaxed);
   records_processed_.fetch_add(records.size(), std::memory_order_relaxed);
-  daemon_cycles_.fetch_add(narrow_count * config_.cycles_per_record_batched +
-                               wide_count * config_.cycles_per_wide_record +
-                               groups.size() * config_.cycles_per_group,
-                           std::memory_order_relaxed);
   ingest_groups_.fetch_add(groups.size(), std::memory_order_relaxed);
   wide_records_.fetch_add(wide_count, std::memory_order_relaxed);
   samples_attributed_.fetch_add(attributed, std::memory_order_relaxed);
@@ -523,10 +466,10 @@ uint64_t Daemon::MemoryUsageBytes() const {
 
 DaemonStats Daemon::stats() const {
   DaemonStats snapshot;
+  snapshot.buffers = buffers_.load(std::memory_order_relaxed);
   snapshot.records_processed = records_processed_.load(std::memory_order_relaxed);
   snapshot.samples_attributed = samples_attributed_.load(std::memory_order_relaxed);
   snapshot.samples_unknown = samples_unknown_.load(std::memory_order_relaxed);
-  snapshot.daemon_cycles = daemon_cycles_.load(std::memory_order_relaxed);
   snapshot.db_merges = db_merges_.load(std::memory_order_relaxed);
   snapshot.db_write_retries = db_write_retries_.load(std::memory_order_relaxed);
   snapshot.db_write_failures = db_write_failures_.load(std::memory_order_relaxed);
@@ -538,7 +481,23 @@ DaemonStats Daemon::stats() const {
   if (database_ != nullptr) {
     snapshot.db_bytes_written = database_->bytes_written();
   }
+  snapshot.daemon_cycles = DaemonCycles(config_, snapshot);
   return snapshot;
+}
+
+uint64_t DaemonCycles(const DaemonConfig& config, const DaemonStats& stats) {
+  uint64_t narrow = NarrowRecords(stats);
+  return stats.buffers * config.cycles_per_buffer_flush +
+         narrow * config.cycles_per_record_batched +
+         stats.ingest_groups * config.cycles_per_group +
+         stats.wide_records * config.cycles_per_wide_record;
+}
+
+uint64_t LegacyDaemonCycles(const DaemonConfig& config, const DaemonStats& stats) {
+  uint64_t narrow = NarrowRecords(stats);
+  return stats.buffers * config.cycles_per_buffer_flush +
+         narrow * kLegacyCyclesPerRecord +
+         stats.wide_records * config.cycles_per_wide_record;
 }
 
 }  // namespace dcpi

@@ -18,14 +18,14 @@
 // shutdown: once producers have quiesced, the drain thread performs one
 // final empty sweep and exits.
 //
-// Batched ingest (Section 5.4's "reduce per-sample daemon work", default):
+// Batched ingest (Section 5.4's "reduce per-sample daemon work"):
 // ProcessBuffer groups a whole drained buffer by (image, event) and
 // accumulates each group into the slot's dense staging vector, paying the
 // profile-map lookup and merge-lock acquisition once per group per buffer
 // instead of once per record. Staged counts are merged into the profile
 // map at every flush and read point — in particular before any database
-// write and at every epoch-roll quiesce point — so profile output is
-// byte-identical to the legacy per-sample path and no staged sample can
+// write and at every epoch-roll quiesce point — so profile output equals
+// resolving and adding each record on its own, and no staged sample can
 // leak across a sealed epoch boundary.
 //
 // Continuous operation (the paper's headline property): the daemon runs
@@ -43,8 +43,11 @@
 // Rolls only ever execute at quiesce points (no producers, no drain
 // thread mid-buffer), so no sample can land astride the seal.
 //
-// Daemon CPU cost is modelled per processed record (the paper's "three
-// hash lookups" path) and reported per-sample for the Table 4 accounting.
+// Daemon CPU cost is not measured but priced: the daemon counts buffers,
+// records, groups and wide records, and DaemonCycles() multiplies them by
+// the DaemonConfig prices. LegacyDaemonCycles() prices the same counts as
+// the paper's per-record daemon (three hash lookups per record) for Table
+// 4's before/after columns.
 
 #ifndef SRC_DAEMON_DAEMON_H_
 #define SRC_DAEMON_DAEMON_H_
@@ -66,24 +69,22 @@
 
 namespace dcpi {
 
-struct DaemonConfig {
-  // Batched ingest (default): a drained overflow buffer is grouped by
-  // (image, event) and accumulated into dense per-slot staging vectors, so
-  // the profile-map lookup and the merge-lock acquisition are paid once
-  // per group per buffer instead of once per record. False selects the
-  // legacy per-sample path (one map lookup + lock round-trip per record),
-  // kept for the differential tests and the Table 4 before/after numbers.
-  bool batched_ingest = true;
+// Per overflow-buffer record price of the 1997 daemon, which resolved and
+// merged every record on its own: PID lookup, image lookup and profile hash
+// update — the paper's "three hash lookups". Table 4's "before" column
+// (LegacyDaemonCycles) prices records at this rate.
+inline constexpr uint64_t kLegacyCyclesPerRecord = 950;
 
-  // Cost model, in cycles.
-  // Legacy path, per overflow-buffer record processed: PID lookup, image
-  // lookup, profile hash update — the paper's "three hash lookups".
-  uint64_t cycles_per_record = 950;
-  // Batched path, per record staged: PID + image lookup and a dense-array
-  // add; the profile hash update is amortized into the per-group cost.
+// Daemon cost model, in cycles. Ingest groups a drained overflow buffer by
+// (image, event) and accumulates each group into a dense per-slot staging
+// vector, so the profile-map lookup and the merge-lock acquisition are paid
+// once per group per buffer instead of once per record.
+struct DaemonConfig {
+  // Per narrow record staged: PID + image lookup and a dense-array add;
+  // the profile hash update is amortized into the per-group cost.
   uint64_t cycles_per_record_batched = 320;
-  // Batched path, per (image, event) group per buffer: profile-map lookup,
-  // merge-lock round trip, staging bookkeeping.
+  // Per (image, event) group per buffer: profile-map lookup, merge-lock
+  // round trip, staging bookkeeping.
   uint64_t cycles_per_group = 1100;
   // Per wide (memory) record: PID + image lookup plus the data-line map
   // update — heavier than a narrow staged add, and each wide record
@@ -106,20 +107,30 @@ struct EpochPolicy {
 };
 
 struct DaemonStats {
+  uint64_t buffers = 0;             // overflow buffers ingested
   uint64_t records_processed = 0;   // aggregated hash entries seen
   uint64_t samples_attributed = 0;  // sum of record counts mapped to images
   uint64_t samples_unknown = 0;
-  uint64_t daemon_cycles = 0;       // modelled CPU time consumed by the daemon
+  uint64_t daemon_cycles = 0;       // modelled CPU time (DaemonCycles)
   uint64_t db_merges = 0;           // profiles successfully written
   uint64_t db_write_retries = 0;    // failed profile writes retried
   uint64_t db_write_failures = 0;   // profiles whose retry also failed
   uint64_t epoch_rolls = 0;         // epochs sealed + advanced past
   uint64_t timed_flushes = 0;       // periodic flushes performed
-  uint64_t ingest_groups = 0;       // (image, event) groups formed (batched)
+  uint64_t ingest_groups = 0;       // (image, event) groups formed
   uint64_t staging_drains = 0;      // staging-vector merges into profiles
   uint64_t db_bytes_written = 0;    // serialized bytes flushed to the db
   uint64_t wide_records = 0;        // ProfileMe-style memory records ingested
 };
+
+// Modelled daemon CPU time for the counts in `stats`: every buffer pays a
+// flush, every narrow record a staged add, every (image, event) group a
+// profile merge, and every wide record its data-line update.
+uint64_t DaemonCycles(const DaemonConfig& config, const DaemonStats& stats);
+
+// Table 4's 1997 column: the same counts priced as the paper's per-record
+// daemon — no groups, and every narrow record pays kLegacyCyclesPerRecord.
+uint64_t LegacyDaemonCycles(const DaemonConfig& config, const DaemonStats& stats);
 
 class Daemon {
  public:
@@ -142,6 +153,8 @@ class Daemon {
   // Handles one drained buffer (also used directly by tests). Thread-safe.
   // Narrow records are hash-table aggregates; wide records are individual
   // ProfileMe-style memory samples that also feed the data-line axis.
+  // Holds the load-map shared lock while resolving the buffer; cpu_id
+  // feeds the data-line cpu_mask (the false-sharing signal).
   void ProcessBuffer(uint32_t cpu_id, const std::vector<OverflowRecord>& records);
   // Convenience for narrow-only callers (tests, benches).
   void ProcessBuffer(uint32_t cpu_id, const std::vector<SampleRecord>& records);
@@ -227,7 +240,7 @@ class Daemon {
 
   // One (image, event) aggregation slot; `mu` serializes merges into this
   // profile so distinct profiles never contend (the per-(image,event)
-  // merge lock). The batched ingest path accumulates a buffer's samples
+  // merge lock). Ingest accumulates a buffer's samples
   // into `staged` — a dense vector indexed by offset/4 (instruction
   // granularity, the inverse of ImageProfile::ExtractDense) — and the
   // staged counts are merged into `profile` at every flush or read point,
@@ -249,11 +262,6 @@ class Daemon {
   // Merges `staged` into `profile` and zeroes it. Caller holds slot->mu.
   // Const so the read accessors can drain before exposing a profile.
   void DrainStagingLocked(ProfileSlot* slot) const REQUIRES(slot->mu);
-  // The two ingest paths (see DaemonConfig::batched_ingest). Both hold the
-  // load-map shared lock across the buffer. cpu_id feeds the data-line
-  // cpu_mask (the false-sharing signal).
-  void IngestBatched(uint32_t cpu_id, const std::vector<OverflowRecord>& records);
-  void IngestPerSample(uint32_t cpu_id, const std::vector<OverflowRecord>& records);
   // Writes every non-empty profile with ReplaceProfile (+1 retry each).
   Status FlushProfilesLocked() REQUIRES(flush_mu_);
   // Erases dead load-map entries (and emptied processes).
@@ -297,10 +305,10 @@ class Daemon {
   std::atomic<bool> pending_map_roll_{false};
   std::atomic<uint64_t> samples_since_roll_{0};
 
+  std::atomic<uint64_t> buffers_{0};
   std::atomic<uint64_t> records_processed_{0};
   std::atomic<uint64_t> samples_attributed_{0};
   std::atomic<uint64_t> samples_unknown_{0};
-  std::atomic<uint64_t> daemon_cycles_{0};
   std::atomic<uint64_t> db_merges_{0};
   std::atomic<uint64_t> db_write_retries_{0};
   std::atomic<uint64_t> db_write_failures_{0};

@@ -19,7 +19,7 @@ DcpiDriver::DcpiDriver(uint32_t num_cpus, const DriverConfig& config) : config_(
 
 void DcpiDriver::PublishActive(uint32_t cpu_id, PerCpu* cpu) {
   OverflowBuffer& full = cpu->buffers[cpu->active_buffer];
-  ++cpu->stats.overflow_buffer_flushes;
+  ++cpu->counts.overflow_buffer_flushes;
   // The records and count are visible to any acquire-loader of kPublished.
   full.state.store(kPublished, std::memory_order_release);
 
@@ -42,7 +42,7 @@ void DcpiDriver::PublishActive(uint32_t cpu_id, PerCpu* cpu) {
       if (spins > 64) std::this_thread::yield();
     }
   }
-  if (waited) ++cpu->stats.publish_waits;
+  if (waited) ++cpu->counts.publish_waits;
   spare.state.store(kProducer, std::memory_order_relaxed);
   cpu->active_buffer ^= 1;
 }
@@ -61,64 +61,45 @@ void DcpiDriver::ServiceFlush(uint32_t cpu_id, PerCpu* cpu) {
   if (active.count > 0) PublishActive(cpu_id, cpu);
 }
 
+uint64_t DcpiDriver::MaybeServiceFlush(uint32_t cpu_id, PerCpu* cpu) {
+  if (!cpu->flush_requested.load(std::memory_order_relaxed)) return 0;
+  // The IPI-modeled flush: the daemon flagged this CPU; the handler does
+  // the drain itself, so the hash table and buffers still have a single
+  // writer.
+  cpu->flush_requested.store(false, std::memory_order_relaxed);
+  ServiceFlush(cpu_id, cpu);
+  ++cpu->counts.flush_requests_serviced;
+  return config_.ipi_flush_cycles;
+}
+
 uint64_t DcpiDriver::DeliverSample(uint32_t cpu_id, uint32_t pid, uint64_t pc,
                                    EventType event) {
   PerCpu& cpu = per_cpu_[cpu_id];
-  uint64_t cost = 0;
-  if (cpu.flush_requested.load(std::memory_order_relaxed)) {
-    // The IPI-modeled flush: the daemon flagged this CPU; the handler does
-    // the drain itself, so the hash table and buffers still have a single
-    // writer.
-    cpu.flush_requested.store(false, std::memory_order_relaxed);
-    ServiceFlush(cpu_id, &cpu);
-    ++cpu.stats.flush_requests_serviced;
-    cost += config_.ipi_flush_cycles;
-    cpu.stats.ipi_flush_cycles += config_.ipi_flush_cycles;
-  }
+  uint64_t cost = MaybeServiceFlush(cpu_id, &cpu);
   SampleKey key{pid, pc, event};
   if (config_.record_trace && cpu.trace.size() < config_.max_trace_samples) {
     cpu.trace.push_back(key);
   }
   SampleHashTable::RecordResult result = cpu.table->Record(key);
-  cost += config_.intr_setup_cycles;
-  if (result.hit && !result.evicted) {
-    ++cpu.stats.hash_hits;
-    cost += config_.hit_body_cycles;
-    cpu.stats.hit_path_cycles += config_.intr_setup_cycles + config_.hit_body_cycles;
-  } else {
-    ++cpu.stats.hash_misses;
-    cost += config_.miss_body_cycles;
-    cpu.stats.miss_path_cycles += config_.intr_setup_cycles + config_.miss_body_cycles;
-  }
+  // A saturated hit evicts its aggregate, so it pays the miss body too.
+  bool hit_path = result.hit && !result.evicted;
+  cost += config_.intr_setup_cycles +
+          (hit_path ? config_.hit_body_cycles : config_.miss_body_cycles);
   if (result.evicted) {
     AppendOverflow(cpu_id, &cpu, OverflowRecord::Narrow(result.victim));
   }
-  ++cpu.stats.interrupts;
-  cpu.stats.handler_cycles += cost;
   return cost;
 }
 
 uint64_t DcpiDriver::DeliverWideSample(uint32_t cpu_id,
                                        const WideSampleRecord& record) {
   PerCpu& cpu = per_cpu_[cpu_id];
-  uint64_t cost = 0;
-  if (cpu.flush_requested.load(std::memory_order_relaxed)) {
-    cpu.flush_requested.store(false, std::memory_order_relaxed);
-    ServiceFlush(cpu_id, &cpu);
-    ++cpu.stats.flush_requests_serviced;
-    cost += config_.ipi_flush_cycles;
-    cpu.stats.ipi_flush_cycles += config_.ipi_flush_cycles;
-  }
+  uint64_t cost = MaybeServiceFlush(cpu_id, &cpu);
   // The bypass path: no hash probe, the record goes straight to the
   // overflow stream (it cannot live in the packed 16-byte line).
   AppendOverflow(cpu_id, &cpu, OverflowRecord::Wide(record));
-  cost += config_.intr_setup_cycles + config_.wide_body_cycles;
-  cpu.stats.wide_path_cycles +=
-      config_.intr_setup_cycles + config_.wide_body_cycles;
-  ++cpu.stats.wide_records;
-  ++cpu.stats.interrupts;
-  cpu.stats.handler_cycles += cost;
-  return cost;
+  ++cpu.counts.wide_records;
+  return cost + config_.intr_setup_cycles + config_.wide_body_cycles;
 }
 
 void DcpiDriver::RequestFlush() {
@@ -177,34 +158,43 @@ void DcpiDriver::FlushAll() {
   }
 }
 
+DriverCpuStats DcpiDriver::Snapshot(const HashTableStats& table,
+                                    const Counts& counts) const {
+  DriverCpuStats stats;
+  stats.interrupts = table.lookups + counts.wide_records;
+  stats.hash_hits = table.hits - table.saturation_spills;
+  stats.hash_misses = table.misses + table.saturation_spills;
+  stats.wide_records = counts.wide_records;
+  stats.hit_path_cycles =
+      stats.hash_hits * (config_.intr_setup_cycles + config_.hit_body_cycles);
+  stats.miss_path_cycles =
+      stats.hash_misses * (config_.intr_setup_cycles + config_.miss_body_cycles);
+  stats.wide_path_cycles =
+      stats.wide_records * (config_.intr_setup_cycles + config_.wide_body_cycles);
+  stats.ipi_flush_cycles = counts.flush_requests_serviced * config_.ipi_flush_cycles;
+  stats.handler_cycles = stats.hit_path_cycles + stats.miss_path_cycles +
+                         stats.wide_path_cycles + stats.ipi_flush_cycles;
+  stats.overflow_buffer_flushes = counts.overflow_buffer_flushes;
+  stats.flush_requests_serviced = counts.flush_requests_serviced;
+  stats.publish_waits = counts.publish_waits;
+  return stats;
+}
+
+DriverCpuStats DcpiDriver::cpu_stats(uint32_t cpu_id) const {
+  const PerCpu& cpu = per_cpu_[cpu_id];
+  return Snapshot(cpu.table->stats(), cpu.counts);
+}
+
 DriverCpuStats DcpiDriver::TotalStats() const {
-  DriverCpuStats total;
-  for (const PerCpu& cpu : per_cpu_) {
-    total.interrupts += cpu.stats.interrupts;
-    total.hash_hits += cpu.stats.hash_hits;
-    total.hash_misses += cpu.stats.hash_misses;
-    total.handler_cycles += cpu.stats.handler_cycles;
-    total.hit_path_cycles += cpu.stats.hit_path_cycles;
-    total.miss_path_cycles += cpu.stats.miss_path_cycles;
-    total.wide_path_cycles += cpu.stats.wide_path_cycles;
-    total.ipi_flush_cycles += cpu.stats.ipi_flush_cycles;
-    total.wide_records += cpu.stats.wide_records;
-    total.overflow_buffer_flushes += cpu.stats.overflow_buffer_flushes;
-    total.flush_requests_serviced += cpu.stats.flush_requests_serviced;
-    total.publish_waits += cpu.stats.publish_waits;
-  }
-  return total;
+  Counts counts;
+  for (const PerCpu& cpu : per_cpu_) counts.Accumulate(cpu.counts);
+  return Snapshot(TotalTableStats(), counts);
 }
 
 HashTableStats DcpiDriver::TotalTableStats() const {
   HashTableStats total;
   for (const PerCpu& cpu : per_cpu_) total.Accumulate(cpu.table->stats());
   return total;
-}
-
-uint64_t DcpiDriver::total_samples() const {
-  DriverCpuStats total = TotalStats();
-  return total.interrupts;
 }
 
 uint64_t DcpiDriver::KernelMemoryBytesPerCpu() const {

@@ -69,14 +69,18 @@ struct DriverConfig {
   uint64_t max_trace_samples = 4'000'000;
 };
 
+// A snapshot of one CPU's (or the machine's) collection accounting. Only
+// the counts are kept while collecting; every cycle field is a count times
+// its DriverConfig price, so the Table 4 attribution is exact by
+// construction: hit_path + miss_path + wide_path + ipi_flush ==
+// handler_cycles.
 struct DriverCpuStats {
   uint64_t interrupts = 0;
   uint64_t hash_hits = 0;
+  // Hash-table misses plus saturation spills: a hit whose 16-bit count
+  // saturated evicts its aggregate, so the handler takes the miss path.
   uint64_t hash_misses = 0;
   uint64_t handler_cycles = 0;
-  // handler_cycles split by path, so Table 4 can attribute exactly where a
-  // policy change moves cycles: hit_path + miss_path + wide_path +
-  // ipi_flush == handler_cycles.
   uint64_t hit_path_cycles = 0;   // setup + body of hit-path interrupts
   uint64_t miss_path_cycles = 0;  // setup + body of miss-path interrupts
   uint64_t wide_path_cycles = 0;  // setup + body of wide-sample interrupts
@@ -150,7 +154,6 @@ class DcpiDriver : public SampleSink {
   // Switches buffer handoff between inline (synchronous) and concurrent
   // draining. Must not be called while producers are delivering samples.
   void SetDrainMode(DrainMode mode) { drain_mode_ = mode; }
-  DrainMode drain_mode() const { return drain_mode_; }
 
   // SampleSink: the interrupt handler. Returns the cycles charged to the
   // interrupted CPU. Lock-free; call only from the thread simulating
@@ -188,12 +191,11 @@ class DcpiDriver : public SampleSink {
 
   // Stats are producer-written; read them only after the producer threads
   // have quiesced (or from the producer thread itself).
-  const DriverCpuStats& cpu_stats(uint32_t cpu_id) const { return per_cpu_[cpu_id].stats; }
+  DriverCpuStats cpu_stats(uint32_t cpu_id) const;
   DriverCpuStats TotalStats() const;
   // Machine-wide hash-table stats (probe depths, swap and spill counts):
   // the per-policy accounting behind the Table 4 attribution. Quiescent-only.
   HashTableStats TotalTableStats() const;
-  uint64_t total_samples() const;
 
   // Non-pageable kernel memory, per CPU (hash table + two overflow buffers).
   uint64_t KernelMemoryBytesPerCpu() const;
@@ -230,9 +232,25 @@ class DcpiDriver : public SampleSink {
     std::atomic<uint8_t> state{kFree};
   };
 
+  // The per-CPU counts the hash table's own stats do not already hold.
+  // Lookups, hits, misses and spills live in SampleHashTable::stats().
+  struct Counts {
+    uint64_t wide_records = 0;
+    uint64_t overflow_buffer_flushes = 0;
+    uint64_t flush_requests_serviced = 0;
+    uint64_t publish_waits = 0;
+
+    void Accumulate(const Counts& other) {
+      wide_records += other.wide_records;
+      overflow_buffer_flushes += other.overflow_buffer_flushes;
+      flush_requests_serviced += other.flush_requests_serviced;
+      publish_waits += other.publish_waits;
+    }
+  };
+
   // One cache-line-aligned slot per CPU so producers never share lines.
   // Everything except `buffers[].state` and `flush_requested` is private
-  // to the producer thread simulating this CPU (stats and trace are read
+  // to the producer thread simulating this CPU (counts and trace are read
   // by others only after quiescence — see cpu_stats()):
   //  * `flush_requested` is the IPI mailbox: any thread may store true,
   //    only the owning producer clears it. Both sides are relaxed on
@@ -246,7 +264,7 @@ class DcpiDriver : public SampleSink {
     OverflowBuffer buffers[2];
     int active_buffer = 0;  // producer-private
     std::atomic<bool> flush_requested{false};
-    DriverCpuStats stats;
+    Counts counts;
     std::vector<SampleKey> trace;
   };
 
@@ -256,6 +274,11 @@ class DcpiDriver : public SampleSink {
   // Drains one CPU's published buffers. Returns buffers consumed.
   size_t DrainCpuPublished(uint32_t cpu_id);
   void ServiceFlush(uint32_t cpu_id, PerCpu* cpu);
+  // Services a pending IPI-modeled flush request, if any. Returns the
+  // cycles it charged to the interrupted CPU.
+  uint64_t MaybeServiceFlush(uint32_t cpu_id, PerCpu* cpu);
+  // Prices the counts under config_: the one place a DriverCpuStats is built.
+  DriverCpuStats Snapshot(const HashTableStats& table, const Counts& counts) const;
 
   DriverConfig config_;
   std::vector<PerCpu> per_cpu_;

@@ -112,9 +112,7 @@ uint64_t PerfCounters::OnIssue(uint32_t pid, uint64_t pc, uint64_t t_prev,
     uint64_t cost =
         sink_ != nullptr ? sink_->DeliverWideSample(cpu_id_, wide_record_) : 0;
     ++stats_.samples[static_cast<int>(wide_record_.event)];
-    ++stats_.wide_samples;
     stats_.handler_cycles += cost;
-    stats_.sink_cycles += cost;
     t_adj += cost;
   }
   // Complete a pending double sample: this instruction is the next head
@@ -125,7 +123,6 @@ uint64_t PerfCounters::OnIssue(uint32_t pid, uint64_t pc, uint64_t t_prev,
       ++edge_samples_[{pid, edge_from_pc_, pc}];
       t_adj += config_.double_sample_cost;
       stats_.handler_cycles += config_.double_sample_cost;
-      stats_.double_sample_cycles += config_.double_sample_cost;
     }
   }
   // Deliver everything that lands at or before the (possibly stretched)
@@ -189,7 +186,6 @@ uint64_t PerfCounters::OnIssue(uint32_t pid, uint64_t pc, uint64_t t_prev,
         sink_ != nullptr ? sink_->DeliverSample(cpu_id_, pid, pc, candidate_event) : 0;
     ++stats_.samples[static_cast<int>(candidate_event)];
     stats_.handler_cycles += cost;
-    stats_.sink_cycles += cost;
     blind_until_ = delivery + cost;
     t_adj += cost;
     if (config_.double_sampling && candidate_event == EventType::kCycles) {

@@ -75,13 +75,6 @@ struct PerfCountersStats {
   uint64_t samples[kNumEventTypes] = {};
   uint64_t deferred_deliveries = 0;  // landed in a blind spot
   uint64_t handler_cycles = 0;       // total cycles charged for interrupts
-  // handler_cycles split for the Table 4 attribution: cycles spent inside
-  // the driver's interrupt handler (the sink) vs the Section 7 double-
-  // sampling extension's second interrupt. sink + double_sample == total.
-  uint64_t sink_cycles = 0;
-  uint64_t double_sample_cycles = 0;
-  // Of samples[], how many were delivered as wide records.
-  uint64_t wide_samples = 0;
 };
 
 class PerfCounters : public PerfMonitor {

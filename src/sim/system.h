@@ -56,8 +56,7 @@ struct SystemConfig {
   // steal ~12% and systematically inflate every S_i/M_i ratio.
   bool free_profiling = false;
   DriverConfig driver;
-  // Daemon ingest path + cost model (DaemonConfig::batched_ingest selects
-  // the batched staging path vs the legacy per-sample path).
+  // Daemon cost model (per-buffer, per-record and per-group prices).
   DaemonConfig daemon;
   std::string db_root;  // empty: keep profiles in memory only
   uint32_t rng_seed = 1;

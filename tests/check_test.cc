@@ -490,9 +490,7 @@ TEST(ScheduleCheck, RealSchedulesPassMutatedSchedulesFail) {
 // ---- End to end: dcpicheck over the Figure 7 copy workload -----------------
 
 TEST(Dcpicheck, CopyWorkloadDatabaseIsViolationFree) {
-  const std::string root = "/tmp/dcpi_check_test";
-  std::filesystem::remove_all(root);
-  std::filesystem::create_directories(root);
+  const std::string root = testgen::UniqueTempRoot();
 
   WorkloadFactory factory(/*scale=*/0.5);
   Workload workload = factory.McCalpin(StreamKernel::kCopy);

@@ -23,16 +23,10 @@
 #include "src/tools/dcpiprof.h"
 #include "src/tools/toolkit.h"
 #include "src/workloads/workloads.h"
+#include "tests/testgen.h"
 
 namespace dcpi {
 namespace {
-
-std::string FreshRoot(const std::string& name) {
-  std::string root = "/tmp/dcpi_continuous_" + name;
-  std::filesystem::remove_all(root);
-  std::filesystem::create_directories(root);
-  return root;
-}
 
 SystemConfig ContinuousConfig(const std::string& db_root, uint32_t cpus = 1) {
   SystemConfig config;
@@ -74,7 +68,7 @@ std::map<std::string, uint64_t> ImageTotals(const ProfileDatabase& db,
 }
 
 TEST(Continuous, MapChangeRollsSealEveryRetiredEpoch) {
-  const std::string root = FreshRoot("rolls");
+  const std::string root = testgen::UniqueTempRoot();
   WorkloadFactory factory(/*scale=*/0.25);
   Workload workload = factory.SpecIntLike();
   System system(ContinuousConfig(root + "/db"));
@@ -102,7 +96,7 @@ TEST(Continuous, MapChangeRollsSealEveryRetiredEpoch) {
 }
 
 TEST(Continuous, SampleTotalsMatchSegmentedBatch) {
-  const std::string root = FreshRoot("conserve");
+  const std::string root = testgen::UniqueTempRoot();
   WorkloadFactory factory(/*scale=*/0.25);
 
   // Continuous: three segments, epoch rolls between them.
@@ -142,7 +136,7 @@ TEST(Continuous, SampleTotalsMatchSegmentedBatch) {
 }
 
 TEST(Continuous, ConcurrentReaderMatchesPostHocListing) {
-  const std::string root = FreshRoot("reader");
+  const std::string root = testgen::UniqueTempRoot();
   WorkloadFactory factory(/*scale=*/0.25);
   Workload workload = factory.SpecIntLike();
   // Two simulated CPUs: the threaded collection path runs a concurrent
@@ -208,7 +202,7 @@ TEST(Continuous, ConcurrentReaderMatchesPostHocListing) {
 }
 
 TEST(Continuous, TimedFlushesPersistTheLiveEpoch) {
-  const std::string root = FreshRoot("flush");
+  const std::string root = testgen::UniqueTempRoot();
   WorkloadFactory factory(/*scale=*/0.25);
   Workload workload = factory.SpecIntLike();
   SystemConfig config = ContinuousConfig(root + "/db");
@@ -238,7 +232,7 @@ TEST(Continuous, TimedFlushesPersistTheLiveEpoch) {
 }
 
 TEST(Continuous, WarmReanalysisHitsTheResultCache) {
-  const std::string root = FreshRoot("cache");
+  const std::string root = testgen::UniqueTempRoot();
   WorkloadFactory factory(/*scale=*/0.25);
   Workload workload = factory.SpecIntLike();
   System system(ContinuousConfig(root + "/db"));

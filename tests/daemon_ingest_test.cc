@@ -1,9 +1,11 @@
 // Differential and adversarial tests for the daemon's batched ingest path
 // (Section 5.4's per-sample-work reduction): the batched staging-vector
-// path must produce byte-identical profiles to the legacy per-sample path
-// over partially-filled buffers, duplicate flushes, zero-count records,
-// off-grid PCs, and unknown samples — and staged counts must never leak
-// across a sealed epoch boundary.
+// path must produce byte-identical profiles and databases to a per-record
+// oracle (each record resolved and added on its own, as the 1997 daemon
+// did) over partially-filled buffers, duplicate flushes, zero-count
+// records, off-grid PCs, and unknown samples — and staged counts must
+// never leak across a sealed epoch boundary. The modelled cost of a buffer
+// is checked against both cost formulas.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include "src/isa/assembler.h"
 #include "src/profiledb/database.h"
 #include "src/support/rng.h"
+#include "tests/testgen.h"
 
 namespace dcpi {
 namespace {
@@ -29,30 +32,87 @@ std::shared_ptr<ExecutableImage> TinyImage(const std::string& name, uint64_t bas
   return image.value();
 }
 
-// Two images under pid 7, nothing under pid 9.
+constexpr uint32_t kPid = 7;
+
+// libA and libB, both mapped under pid 7; nothing is mapped under pid 9.
+std::vector<std::shared_ptr<ExecutableImage>> StandardImages() {
+  return {TinyImage("libA", 0x0100'0000), TinyImage("libB", 0x0200'0000)};
+}
+
 void LoadStandardMaps(Daemon* daemon) {
   std::vector<LoaderEvent> events;
-  events.push_back({LoaderEvent::Kind::kLoadImage, 7, TinyImage("libA", 0x0100'0000)});
-  events.push_back({LoaderEvent::Kind::kLoadImage, 7, TinyImage("libB", 0x0200'0000)});
+  for (auto& image : StandardImages()) {
+    events.push_back({LoaderEvent::Kind::kLoadImage, kPid, std::move(image)});
+  }
   daemon->ProcessLoaderEvents(std::move(events));
 }
 
-DaemonConfig Batched() {
-  DaemonConfig config;
-  config.batched_ingest = true;
-  return config;
-}
+using ProfileBytes = std::map<std::pair<std::string, int>, std::vector<uint8_t>>;
 
-DaemonConfig Legacy() {
-  DaemonConfig config;
-  config.batched_ingest = false;
-  return config;
-}
+// The reference ingest: every record is resolved against the standard
+// images on its own and summed into a std::map, with no staging and no
+// grouping. Unresolvable samples land at offset 0 of the "unknown" image,
+// and zero-count records carry nothing. Its database writes go through the
+// same ProfileDatabase calls the daemon makes at a flush, roll and seal.
+class PerRecordOracle {
+ public:
+  void Ingest(const std::vector<SampleRecord>& records) {
+    for (const SampleRecord& record : records) {
+      if (record.count == 0) continue;
+      std::string image = "unknown";
+      uint64_t offset = 0;
+      for (const auto& candidate : images_) {
+        if (record.key.pid == kPid && record.key.pc >= candidate->text_base() &&
+            record.key.pc < candidate->text_end()) {
+          image = candidate->name();
+          offset = record.key.pc - candidate->text_base();
+        }
+      }
+      counts_[{image, static_cast<int>(record.key.event)}][offset] += record.count;
+    }
+  }
+
+  std::vector<ImageProfile> Profiles() const {
+    std::vector<ImageProfile> profiles;
+    for (const auto& [key, offsets] : counts_) {
+      ImageProfile profile(key.first, static_cast<EventType>(key.second), 0.0);
+      for (const auto& [offset, count] : offsets) profile.AddSamples(offset, count);
+      profiles.push_back(std::move(profile));
+    }
+    return profiles;
+  }
+
+  ProfileBytes Snapshot() const {
+    ProfileBytes snapshot;
+    for (const ImageProfile& profile : Profiles()) {
+      snapshot[{profile.image_name(), static_cast<int>(profile.event())}] =
+          SerializeProfile(profile);
+    }
+    return snapshot;
+  }
+
+  void Flush(ProfileDatabase* db) const {
+    for (const ImageProfile& profile : Profiles()) {
+      ASSERT_TRUE(db->ReplaceProfile(profile).ok());
+    }
+  }
+
+  // Daemon::RollEpoch: flush, seal, open the next epoch, restart empty.
+  void Roll(ProfileDatabase* db, uint64_t at_cycles) {
+    Flush(db);
+    ASSERT_TRUE(db->SealCurrentEpoch(at_cycles).ok());
+    ASSERT_TRUE(db->NewEpoch().ok());
+    counts_.clear();
+  }
+
+ private:
+  std::vector<std::shared_ptr<ExecutableImage>> images_ = StandardImages();
+  std::map<std::pair<std::string, int>, std::map<uint64_t, uint64_t>> counts_;
+};
 
 // Serialized bytes of every in-memory profile, keyed by (image, event).
-std::map<std::pair<std::string, int>, std::vector<uint8_t>> Snapshot(
-    const Daemon& daemon) {
-  std::map<std::pair<std::string, int>, std::vector<uint8_t>> snapshot;
+ProfileBytes Snapshot(const Daemon& daemon) {
+  ProfileBytes snapshot;
   for (const ImageProfile* profile : daemon.AllProfiles()) {
     snapshot[{profile->image_name(), static_cast<int>(profile->event())}] =
         SerializeProfile(*profile);
@@ -71,22 +131,22 @@ std::vector<SampleRecord> AdversarialRecords(SplitMix64& rng, int length) {
     SampleRecord record;
     switch (rng.NextBelow(8)) {
       case 0:  // libB
-        record.key = {7, 0x0200'0000 + rng.NextBelow(5) * 4, EventType::kCycles};
+        record.key = {kPid, 0x0200'0000 + rng.NextBelow(5) * 4, EventType::kCycles};
         break;
       case 1:  // unmapped PC
-        record.key = {7, 0x0300'0000, EventType::kCycles};
+        record.key = {kPid, 0x0300'0000, EventType::kCycles};
         break;
       case 2:  // wrong pid
         record.key = {9, 0x0100'0004, EventType::kCycles};
         break;
       case 3:  // off-grid PC inside libA
-        record.key = {7, 0x0100'0002, EventType::kCycles};
+        record.key = {kPid, 0x0100'0002, EventType::kCycles};
         break;
       case 4:  // imiss samples for libA
-        record.key = {7, 0x0100'0000 + rng.NextBelow(5) * 4, EventType::kImiss};
+        record.key = {kPid, 0x0100'0000 + rng.NextBelow(5) * 4, EventType::kImiss};
         break;
       default:  // the common case: cycles in libA
-        record.key = {7, 0x0100'0000 + rng.NextBelow(5) * 4, EventType::kCycles};
+        record.key = {kPid, 0x0100'0000 + rng.NextBelow(5) * 4, EventType::kCycles};
         break;
     }
     record.count = rng.NextBelow(5);  // 0 is legal: an empty hash line slot
@@ -99,71 +159,67 @@ TEST(DaemonIngest, BatchedMatchesLegacyOverAdversarialBuffers) {
   constexpr int kTrials = 16;
   for (int trial = 0; trial < kTrials; ++trial) {
     SplitMix64 rng(0xBA7C'0000ull + trial);
-    Daemon batched(nullptr, nullptr, {}, Batched());
-    Daemon legacy(nullptr, nullptr, {}, Legacy());
-    LoadStandardMaps(&batched);
-    LoadStandardMaps(&legacy);
+    Daemon daemon(nullptr, nullptr, {});
+    LoadStandardMaps(&daemon);
+    PerRecordOracle oracle;
 
     // A run is a sequence of buffers of wildly varying fill levels,
     // including empty ones (a drained buffer can be partially filled or
     // empty at flush time).
     int buffers = 1 + static_cast<int>(rng.NextBelow(8));
+    uint64_t records_seen = 0;
     for (int b = 0; b < buffers; ++b) {
       int length = static_cast<int>(rng.NextBelow(40));  // 0 = empty buffer
       std::vector<SampleRecord> records = AdversarialRecords(rng, length);
-      batched.ProcessBuffer(0, records);
-      legacy.ProcessBuffer(0, records);
+      daemon.ProcessBuffer(0, records);
+      oracle.Ingest(records);
+      records_seen += records.size();
     }
 
-    EXPECT_EQ(Snapshot(batched), Snapshot(legacy)) << "trial " << trial;
-    EXPECT_EQ(batched.stats().records_processed, legacy.stats().records_processed);
-    EXPECT_EQ(batched.stats().samples_attributed, legacy.stats().samples_attributed);
-    EXPECT_EQ(batched.stats().samples_unknown, legacy.stats().samples_unknown);
+    EXPECT_EQ(Snapshot(daemon), oracle.Snapshot()) << "trial " << trial;
+    EXPECT_EQ(daemon.stats().records_processed, records_seen);
+    EXPECT_EQ(daemon.stats().buffers, static_cast<uint64_t>(buffers));
   }
 }
 
 TEST(DaemonIngest, DuplicateFlushIsAdditiveInBothPaths) {
   // The driver may legally drain the same aggregate twice (e.g. a key
-  // evicted and re-inserted); both paths must accumulate, not replace.
-  for (const DaemonConfig& config : {Batched(), Legacy()}) {
-    Daemon daemon(nullptr, nullptr, {}, config);
-    LoadStandardMaps(&daemon);
-    std::vector<SampleRecord> records;
-    records.push_back({{7, 0x0100'0004, EventType::kCycles}, 10});
-    daemon.ProcessBuffer(0, records);
-    daemon.ProcessBuffer(1, records);  // duplicate flush, different CPU
-    const ImageProfile* profile = daemon.FindProfile("libA", EventType::kCycles);
-    ASSERT_NE(profile, nullptr);
-    EXPECT_EQ(profile->SamplesAt(4), 20u);
-  }
+  // evicted and re-inserted); ingest must accumulate, not replace.
+  Daemon daemon(nullptr, nullptr, {});
+  LoadStandardMaps(&daemon);
+  std::vector<SampleRecord> records;
+  records.push_back({{kPid, 0x0100'0004, EventType::kCycles}, 10});
+  daemon.ProcessBuffer(0, records);
+  daemon.ProcessBuffer(1, records);  // duplicate flush, different CPU
+  const ImageProfile* profile = daemon.FindProfile("libA", EventType::kCycles);
+  ASSERT_NE(profile, nullptr);
+  EXPECT_EQ(profile->SamplesAt(4), 20u);
 }
 
 TEST(DaemonIngest, EmptyAndZeroCountBuffersCreateNoProfiles) {
-  for (const DaemonConfig& config : {Batched(), Legacy()}) {
-    Daemon daemon(nullptr, nullptr, {}, config);
-    LoadStandardMaps(&daemon);
-    daemon.ProcessBuffer(0, std::vector<SampleRecord>{});
-    std::vector<SampleRecord> zeros(5, {{7, 0x0100'0000, EventType::kCycles}, 0});
-    daemon.ProcessBuffer(0, zeros);
-    // Zero-count records carry no samples: no profile may materialize in
-    // either path (a zero-count map entry would change the serialized
-    // bytes without changing any total).
-    EXPECT_TRUE(daemon.AllProfiles().empty());
-    EXPECT_EQ(daemon.stats().records_processed, 5u);
-    EXPECT_EQ(daemon.stats().samples_attributed, 0u);
-  }
+  Daemon daemon(nullptr, nullptr, {});
+  LoadStandardMaps(&daemon);
+  daemon.ProcessBuffer(0, std::vector<SampleRecord>{});
+  std::vector<SampleRecord> zeros(5, {{kPid, 0x0100'0000, EventType::kCycles}, 0});
+  daemon.ProcessBuffer(0, zeros);
+  // Zero-count records carry no samples: no profile may materialize (a
+  // zero-count map entry would change the serialized bytes without
+  // changing any total).
+  EXPECT_TRUE(daemon.AllProfiles().empty());
+  EXPECT_EQ(daemon.stats().records_processed, 5u);
+  EXPECT_EQ(daemon.stats().samples_attributed, 0u);
 }
 
 TEST(DaemonIngest, BatchedAmortizesLockAcquisitions) {
-  Daemon daemon(nullptr, nullptr, {}, Batched());
+  Daemon daemon(nullptr, nullptr, {});
   LoadStandardMaps(&daemon);
   // 30 records over 2 (image, event) pairs: 2 groups, not 30.
   std::vector<SampleRecord> records;
   for (int i = 0; i < 15; ++i) {
     records.push_back(
-        {{7, 0x0100'0000 + static_cast<uint64_t>(i % 5) * 4, EventType::kCycles}, 1});
+        {{kPid, 0x0100'0000 + static_cast<uint64_t>(i % 5) * 4, EventType::kCycles}, 1});
     records.push_back(
-        {{7, 0x0200'0000 + static_cast<uint64_t>(i % 5) * 4, EventType::kCycles}, 1});
+        {{kPid, 0x0200'0000 + static_cast<uint64_t>(i % 5) * 4, EventType::kCycles}, 1});
   }
   daemon.ProcessBuffer(0, records);
   EXPECT_EQ(daemon.stats().ingest_groups, 2u);
@@ -179,13 +235,56 @@ TEST(DaemonIngest, BatchedAmortizesLockAcquisitions) {
   EXPECT_EQ(daemon.stats().staging_drains, drains_before + 1);
 }
 
+OverflowRecord WideAt(uint64_t pc) {
+  WideSampleRecord wide;
+  wide.pid = kPid;
+  wide.pc = pc;
+  wide.has_data = true;
+  wide.data_va = 0x4000'0040;
+  wide.latency = 12;
+  wide.level = MemLevel::kBoard;
+  return OverflowRecord::Wide(wide);
+}
+
+TEST(DaemonIngest, CostFormulasPriceEveryRecordKind) {
+  Daemon daemon(nullptr, nullptr, {});
+  LoadStandardMaps(&daemon);
+  // Buffer 1: three narrow libA records (one zero-count) and one wide libA
+  // record — a single (libA, cycles) group.
+  daemon.ProcessBuffer(0, {OverflowRecord::Narrow({{kPid, 0x0100'0000, EventType::kCycles}, 3}),
+                           OverflowRecord::Narrow({{kPid, 0x0100'0004, EventType::kCycles}, 0}),
+                           OverflowRecord::Narrow({{kPid, 0x0100'0008, EventType::kCycles}, 1}),
+                           WideAt(0x0100'000c)});
+  // Buffer 2: two narrow libB records, a zero-count record, and a wide
+  // record at an unmapped PC — (libB, cycles) and (unknown, cycles).
+  daemon.ProcessBuffer(1, {OverflowRecord::Narrow({{kPid, 0x0200'0000, EventType::kCycles}, 2}),
+                           OverflowRecord::Narrow({{kPid, 0x0200'0004, EventType::kCycles}, 5}),
+                           OverflowRecord::Narrow({{9, 0x0100'0000, EventType::kCycles}, 0}),
+                           WideAt(0x0300'0000)});
+  DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.buffers, 2u);
+  EXPECT_EQ(stats.records_processed, 8u);
+  EXPECT_EQ(stats.wide_records, 2u);
+  EXPECT_EQ(stats.ingest_groups, 3u);
+  EXPECT_EQ(stats.samples_attributed, 12u);
+  EXPECT_EQ(stats.samples_unknown, 1u);
+
+  // Six narrow records (zero-count ones included: the daemon still reads
+  // them), two wide records, two buffers, three groups.
+  const DaemonConfig& config = daemon.config();
+  EXPECT_EQ(stats.daemon_cycles,
+            2 * config.cycles_per_buffer_flush + 6 * config.cycles_per_record_batched +
+                3 * config.cycles_per_group + 2 * config.cycles_per_wide_record);
+  EXPECT_EQ(stats.daemon_cycles, 2 * 6000u + 6 * 320u + 3 * 1100u + 2 * 500u);
+  EXPECT_EQ(LegacyDaemonCycles(config, stats),
+            2 * config.cycles_per_buffer_flush + 6 * kLegacyCyclesPerRecord +
+                2 * config.cycles_per_wide_record);
+  EXPECT_EQ(LegacyDaemonCycles(config, stats), 2 * 6000u + 6 * 950u + 2 * 500u);
+}
+
 class IngestDbTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    root_ = std::string("/tmp/dcpi_ingest_test_") +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(root_);
-  }
+  void SetUp() override { root_ = testgen::UniqueTempRoot(); }
   void TearDown() override { std::filesystem::remove_all(root_); }
   std::string root_;
 };
@@ -195,16 +294,16 @@ TEST_F(IngestDbTest, EpochRollFlushesStagingIntoSealedEpoch) {
   // epoch being sealed — they must land on disk in that epoch and must
   // not survive into the next one.
   ProfileDatabase db(root_);
-  Daemon daemon(nullptr, &db, {}, Batched());
+  Daemon daemon(nullptr, &db, {});
   LoadStandardMaps(&daemon);
 
   std::vector<SampleRecord> epoch0;
-  epoch0.push_back({{7, 0x0100'0000, EventType::kCycles}, 10});
+  epoch0.push_back({{kPid, 0x0100'0000, EventType::kCycles}, 10});
   daemon.ProcessBuffer(0, epoch0);  // staged, never explicitly flushed
   ASSERT_TRUE(daemon.RollEpoch(100).ok());
 
   std::vector<SampleRecord> epoch1;
-  epoch1.push_back({{7, 0x0100'0004, EventType::kCycles}, 5});
+  epoch1.push_back({{kPid, 0x0100'0004, EventType::kCycles}, 5});
   daemon.ProcessBuffer(0, epoch1);
   ASSERT_TRUE(daemon.FlushToDatabase().ok());
 
@@ -225,43 +324,57 @@ TEST_F(IngestDbTest, EpochRollFlushesStagingIntoSealedEpoch) {
   EXPECT_EQ(live->total_samples(), 5u);
 }
 
+// Every regular file under `root`, as relative path -> raw bytes.
+std::map<std::string, std::vector<uint8_t>> ReadTree(const std::string& root) {
+  std::map<std::string, std::vector<uint8_t>> files;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(root)) {
+    if (!entry.is_regular_file()) continue;
+    std::string rel = std::filesystem::relative(entry.path(), root).string();
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[rel] = std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
+                                      std::istreambuf_iterator<char>());
+  }
+  return files;
+}
+
 TEST_F(IngestDbTest, BatchedAndLegacyWriteIdenticalDatabases) {
-  // End-to-end on-disk equivalence: same buffers, same flush points, both
-  // paths must produce byte-identical profile files.
+  // End-to-end on-disk equivalence: same buffers, same roll and seal
+  // points; the daemon and the per-record oracle must write byte-identical
+  // profile files.
   SplitMix64 rng(0xD15Cull);
   std::vector<std::vector<SampleRecord>> buffers;
   for (int b = 0; b < 6; ++b) {
     buffers.push_back(AdversarialRecords(rng, 30));
   }
-  std::map<std::string, std::vector<uint8_t>> files[2];
-  int index = 0;
-  for (const DaemonConfig& config : {Batched(), Legacy()}) {
-    std::string root = root_ + (config.batched_ingest ? "_batched" : "_legacy");
-    std::filesystem::remove_all(root);
-    {
-      ProfileDatabase db(root);
-      Daemon daemon(nullptr, &db, {}, config);
-      LoadStandardMaps(&daemon);
-      for (size_t b = 0; b < buffers.size(); ++b) {
-        daemon.ProcessBuffer(0, buffers[b]);
-        if (b == 2) {
-          ASSERT_TRUE(daemon.RollEpoch(1000).ok());
-        }
+  const std::string daemon_root = root_ + "/daemon";
+  const std::string oracle_root = root_ + "/oracle";
+  {
+    ProfileDatabase db(daemon_root);
+    Daemon daemon(nullptr, &db, {});
+    LoadStandardMaps(&daemon);
+    for (size_t b = 0; b < buffers.size(); ++b) {
+      daemon.ProcessBuffer(0, buffers[b]);
+      if (b == 2) {
+        ASSERT_TRUE(daemon.RollEpoch(1000).ok());
       }
-      ASSERT_TRUE(daemon.FlushToDatabase().ok());
-      ASSERT_TRUE(daemon.SealCurrentEpoch(2000).ok());
     }
-    for (const auto& entry : std::filesystem::recursive_directory_iterator(root)) {
-      if (!entry.is_regular_file()) continue;
-      std::string rel = std::filesystem::relative(entry.path(), root).string();
-      std::ifstream in(entry.path(), std::ios::binary);
-      files[index][rel] = std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                                               std::istreambuf_iterator<char>());
-    }
-    std::filesystem::remove_all(root);
-    ++index;
+    ASSERT_TRUE(daemon.FlushToDatabase().ok());
+    ASSERT_TRUE(daemon.SealCurrentEpoch(2000).ok());
+    EXPECT_EQ(daemon.stats().epoch_rolls, 1u);
   }
-  EXPECT_EQ(files[0], files[1]);
+  {
+    ProfileDatabase db(oracle_root);
+    PerRecordOracle oracle;
+    for (size_t b = 0; b < buffers.size(); ++b) {
+      oracle.Ingest(buffers[b]);
+      if (b == 2) oracle.Roll(&db, 1000);
+    }
+    oracle.Flush(&db);
+    ASSERT_TRUE(db.SealCurrentEpoch(2000).ok());
+  }
+  std::map<std::string, std::vector<uint8_t>> daemon_files = ReadTree(daemon_root);
+  EXPECT_FALSE(daemon_files.empty());
+  EXPECT_EQ(daemon_files, ReadTree(oracle_root));
 }
 
 }  // namespace

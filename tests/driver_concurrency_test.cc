@@ -99,7 +99,7 @@ TEST(DriverConcurrency, NoSampleLostOrDoubleCountedUnderConcurrentDrain) {
   for (uint32_t cpu = 0; cpu < kCpus; ++cpu) {
     EXPECT_EQ(tally.per_pid[cpu + 1], kSamplesPerCpu) << "producer " << cpu;
   }
-  EXPECT_EQ(driver.total_samples(), static_cast<uint64_t>(kCpus) * kSamplesPerCpu);
+  EXPECT_EQ(driver.TotalStats().interrupts, static_cast<uint64_t>(kCpus) * kSamplesPerCpu);
 }
 
 // A slow drainer must cause backpressure (publish_waits), never loss.

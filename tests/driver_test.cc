@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/driver/driver.h"
 #include "src/support/rng.h"
 
@@ -95,6 +97,43 @@ TEST(DcpiDriver, CostModelDistinguishesHitAndMiss) {
   EXPECT_GT(miss_cost, hit_cost);
   EXPECT_EQ(driver.cpu_stats(0).interrupts, 2u);
   EXPECT_EQ(driver.cpu_stats(0).hash_hits, 1u);
+}
+
+TEST(DcpiDriver, SaturatedHitIsChargedAsMiss) {
+  // A hit on an entry whose count has saturated evicts the aggregate to
+  // the overflow buffer, so the handler takes the miss path: the stats
+  // must count it as a miss and charge it miss-path cycles.
+  DriverConfig config;
+  config.hash.max_count = 3;
+  DcpiDriver driver(1, config);
+  uint64_t drained = 0;
+  driver.set_overflow_handler(
+      [&](uint32_t, const std::vector<OverflowRecord>& records) {
+        for (const auto& r : records) drained += r.narrow.count;
+      });
+  std::vector<uint64_t> costs;
+  for (int i = 0; i < 4; ++i) {
+    costs.push_back(driver.DeliverSample(0, 1, 0x1000, EventType::kCycles));
+  }
+  const uint64_t hit = config.intr_setup_cycles + config.hit_body_cycles;
+  const uint64_t miss = config.intr_setup_cycles + config.miss_body_cycles;
+  // Insert (miss), two hits up to the cap, then the saturated hit (miss).
+  EXPECT_EQ(costs, (std::vector<uint64_t>{miss, hit, hit, miss}));
+  EXPECT_EQ(driver.TotalTableStats().saturation_spills, 1u);
+
+  DriverCpuStats stats = driver.cpu_stats(0);
+  EXPECT_EQ(stats.interrupts, 4u);
+  EXPECT_EQ(stats.hash_hits, 2u);
+  EXPECT_EQ(stats.hash_misses, 2u);
+  EXPECT_EQ(stats.hit_path_cycles, 2 * hit);
+  EXPECT_EQ(stats.miss_path_cycles, 2 * miss);
+  EXPECT_EQ(stats.handler_cycles, 2 * hit + 2 * miss);
+  EXPECT_EQ(stats.handler_cycles, costs[0] + costs[1] + costs[2] + costs[3]);
+  // TotalStats is built by the same pricing as the per-CPU snapshot.
+  EXPECT_EQ(driver.TotalStats().miss_path_cycles, stats.miss_path_cycles);
+
+  driver.FlushAll();
+  EXPECT_EQ(drained, 4u);  // the spilled aggregate of 3 plus the live 1
 }
 
 TEST(DcpiDriver, OverflowBufferHandedToDaemonWhenFull) {

@@ -78,12 +78,6 @@ std::vector<std::vector<uint8_t>> ResultBytes(const EpochAnalysis& epoch) {
   return bytes;
 }
 
-std::string FreshCacheDir(const char* name) {
-  std::string dir = std::string("/tmp/dcpi_engine_test_") + name;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
 TEST(EngineSerialization, RoundTripsThroughBytes) {
   Fixture f = MakeFixture();
   const ProcedureSymbol* proc = f.image->FindProcedureByName("diamond");
@@ -166,7 +160,7 @@ TEST(Engine, CacheHitsOnIdenticalInputs) {
   AnalysisConfig config;
   EngineOptions options;
   options.jobs = 2;
-  options.cache_dir = FreshCacheDir("hit");
+  options.cache_dir = testgen::UniqueTempRoot();
 
   EpochAnalysis cold = AnalysisEngine(options).AnalyzeAll({InputFor(f)}, config);
   EXPECT_EQ(cold.cache_hits, 0u);
@@ -185,7 +179,7 @@ TEST(Engine, CacheMissesWhenImageProfileOrConfigChanges) {
   Fixture f = MakeFixture();
   AnalysisConfig config;
   EngineOptions options;
-  options.cache_dir = FreshCacheDir("miss");
+  options.cache_dir = testgen::UniqueTempRoot();
   AnalysisEngine(options).AnalyzeAll({InputFor(f)}, config);  // populate
 
   // Image content change: bump one addq literal (1 -> 9).
@@ -236,7 +230,7 @@ TEST(Engine, CorruptCacheEntriesAreIgnoredAndRecomputed) {
   Fixture f = MakeFixture();
   AnalysisConfig config;
   EngineOptions options;
-  options.cache_dir = FreshCacheDir("corrupt");
+  options.cache_dir = testgen::UniqueTempRoot();
   EpochAnalysis cold = AnalysisEngine(options).AnalyzeAll({InputFor(f)}, config);
   std::vector<std::vector<uint8_t>> want = ResultBytes(cold);
 
@@ -272,7 +266,7 @@ TEST(Engine, AnalyzeOneUsesTheSameCacheAsAnalyzeAll) {
   Fixture f = MakeFixture();
   AnalysisConfig config;
   EngineOptions options;
-  options.cache_dir = FreshCacheDir("one");
+  options.cache_dir = testgen::UniqueTempRoot();
   AnalysisEngine engine(options);
   const ProcedureSymbol* proc = f.image->FindProcedureByName("diamond");
   ProcedureResult first = engine.AnalyzeOne(InputFor(f), *proc, config);

@@ -7,13 +7,12 @@
 // timings — to be identical. A final run compares the threaded path
 // against the sequential scheduler on the same machine.
 
-// Two further equivalences ride the same harness: the daemon's batched
-// ingest path must write byte-identical profile databases to the legacy
-// per-sample path (at 1 and 4 CPUs), and the driver's shipped Section 5.4
-// hash policy must leave the profile output untouched relative to the
-// 1997 baseline (with free profiling the sample stream depends only on
-// the simulated machine, so only lost or misattributed samples could
-// diverge).
+// Two further equivalences ride the same harness: the threaded path must
+// write a byte-identical on-disk database to the sequential scheduler, and
+// the driver's shipped Section 5.4 hash policy must leave the profile
+// output untouched relative to the 1997 baseline (with free profiling the
+// sample stream depends only on the simulated machine, so only lost or
+// misattributed samples could diverge).
 
 #include <gtest/gtest.h>
 
@@ -27,6 +26,7 @@
 #include <vector>
 
 #include "src/workloads/workloads.h"
+#include "tests/testgen.h"
 
 namespace dcpi {
 namespace {
@@ -128,29 +128,24 @@ std::map<std::string, std::vector<uint8_t>> ReadTree(const std::string& root) {
   return files;
 }
 
-TEST(MpDeterminism, BatchedIngestWritesByteIdenticalDatabase) {
-  // The batched staging path and the legacy per-sample path must produce
-  // byte-identical on-disk databases — same files, same bytes — at one CPU
-  // (sequential scheduler) and four (threaded collection + drain thread).
-  for (uint32_t cpus : {1u, 4u}) {
-    std::map<std::string, std::vector<uint8_t>> trees[2];
-    int index = 0;
-    for (bool batched : {true, false}) {
-      std::string root = "/tmp/dcpi_mp_ingest_db_" + std::to_string(cpus) +
-                         (batched ? "_batched" : "_legacy");
-      std::filesystem::remove_all(root);
-      SystemConfig config = MpConfig(/*jitter_seed=*/batched ? 0 : 42);
-      config.kernel.num_cpus = cpus;
-      config.daemon.batched_ingest = batched;
-      config.db_root = root;
-      RunOutcome out = RunOnce(config);
-      EXPECT_GT(out.total_samples, 0u);
-      trees[index++] = ReadTree(root);
-      std::filesystem::remove_all(root);
-    }
-    EXPECT_FALSE(trees[0].empty()) << cpus << " cpus";
-    EXPECT_EQ(trees[0], trees[1]) << cpus << " cpus";
+TEST(MpDeterminism, ThreadedWritesByteIdenticalDatabase) {
+  // Threaded collection (one host thread per CPU + the concurrent drain
+  // thread) and the sequential scheduler must leave the same files with
+  // the same bytes on disk at four CPUs — the in-memory comparison above
+  // does not cover flush order or the sealed-epoch marker.
+  const std::string root = testgen::UniqueTempRoot();
+  std::map<std::string, std::vector<uint8_t>> trees[2];
+  int index = 0;
+  for (bool threaded : {true, false}) {
+    SystemConfig config = MpConfig(/*jitter_seed=*/threaded ? 42 : 0, threaded);
+    config.db_root = root + (threaded ? "/threaded" : "/sequential");
+    RunOutcome out = RunOnce(config);
+    EXPECT_GT(out.total_samples, 0u);
+    trees[index++] = ReadTree(config.db_root);
   }
+  std::filesystem::remove_all(root);
+  EXPECT_FALSE(trees[0].empty());
+  EXPECT_EQ(trees[0], trees[1]);
 }
 
 TEST(MpDeterminism, MemFractionZeroWritesByteIdenticalDatabase) {
@@ -159,21 +154,19 @@ TEST(MpDeterminism, MemFractionZeroWritesByteIdenticalDatabase) {
   // is never consulted, no version-4 files appear, and the on-disk
   // database is byte-identical to a build that never heard of wide
   // records — at one CPU and at four.
+  const std::string root = testgen::UniqueTempRoot();
   for (uint32_t cpus : {1u, 4u}) {
     std::map<std::string, std::vector<uint8_t>> trees[2];
     int index = 0;
     for (bool explicit_zero : {false, true}) {
-      std::string root = "/tmp/dcpi_mp_memfrac_db_" + std::to_string(cpus) +
-                         (explicit_zero ? "_zero" : "_default");
-      std::filesystem::remove_all(root);
       SystemConfig config = MpConfig(/*jitter_seed=*/explicit_zero ? 17 : 0);
       config.kernel.num_cpus = cpus;
-      config.db_root = root;
+      config.db_root = root + "/" + std::to_string(cpus) +
+                       (explicit_zero ? "_zero" : "_default");
       if (explicit_zero) config.mem_fraction = 0.0;
       RunOutcome out = RunOnce(config);
       EXPECT_GT(out.total_samples, 0u);
-      trees[index++] = ReadTree(root);
-      std::filesystem::remove_all(root);
+      trees[index++] = ReadTree(config.db_root);
     }
     EXPECT_FALSE(trees[0].empty()) << cpus << " cpus";
     EXPECT_EQ(trees[0], trees[1]) << cpus << " cpus";
@@ -184,25 +177,25 @@ TEST(MpDeterminism, MemFractionZeroWritesByteIdenticalDatabase) {
       EXPECT_LE(bytes[4], 3) << path;
     }
   }
+  std::filesystem::remove_all(root);
 }
 
 TEST(MpDeterminism, MemSamplingIsDeterministicAcrossInterleavings) {
   // With wide records on, the database (now holding version-4 profiles)
   // must still depend only on the simulated machine: identical trees
   // across host-thread jitter seeds, at four CPUs.
+  const std::string root = testgen::UniqueTempRoot();
   std::map<std::string, std::vector<uint8_t>> trees[2];
   int index = 0;
   for (uint32_t jitter : {0u, 1234u}) {
-    std::string root = "/tmp/dcpi_mp_memwide_db_" + std::to_string(jitter);
-    std::filesystem::remove_all(root);
     SystemConfig config = MpConfig(jitter);
-    config.db_root = root;
+    config.db_root = root + "/" + std::to_string(jitter);
     config.mem_fraction = 0.25;
     RunOutcome out = RunOnce(config);
     EXPECT_GT(out.total_samples, 0u);
-    trees[index++] = ReadTree(root);
-    std::filesystem::remove_all(root);
+    trees[index++] = ReadTree(config.db_root);
   }
+  std::filesystem::remove_all(root);
   EXPECT_FALSE(trees[0].empty());
   EXPECT_EQ(trees[0], trees[1]);
 }

@@ -7,6 +7,7 @@
 #include <filesystem>
 
 #include "src/workloads/workloads.h"
+#include "tests/testgen.h"
 
 namespace dcpi {
 namespace {
@@ -76,8 +77,7 @@ TEST(PipelineIntegration, ProfilesPersistToDatabase) {
   WorkloadFactory factory(/*scale=*/0.1);
   Workload workload = factory.X11PerfLike();
   SystemConfig config = DenseSamplingConfig(ProfilingMode::kDefault);
-  config.db_root = "/tmp/dcpi_test_db";
-  std::filesystem::remove_all(config.db_root);
+  config.db_root = testgen::UniqueTempRoot();
   System system(config);
   ASSERT_TRUE(workload.Instantiate(&system).ok());
   SystemResult result = system.Run();
@@ -144,6 +144,43 @@ TEST(PipelineIntegration, MultiprocessorDistinctPidsProfileCleanly) {
   ASSERT_NE(profile, nullptr);
   EXPECT_GT(profile->total_samples(), 100u);
   EXPECT_LT(system.daemon()->UnknownSampleFraction(), 0.01);
+}
+
+TEST(PipelineIntegration, LayerCountsConserveSamples) {
+  // Every sample is counted once per layer, so the layers' counts must
+  // agree exactly: each counter delivery is one driver interrupt, each
+  // wide record reaches the daemon, each interrupt's sample is attributed
+  // or unknown after the final flush, and the cycles the counters charged
+  // are the cycles the driver's cost model priced.
+  for (uint32_t cpus : {1u, 4u}) {
+    WorkloadFactory factory(/*scale=*/0.05);
+    Workload workload = factory.DssLike(cpus);
+    SystemConfig config;
+    config.kernel.num_cpus = cpus;
+    config.mode = ProfilingMode::kDefault;
+    config.period_scale = 1.0 / 32;
+    config.mem_fraction = 0.25;
+    System system(config);
+    ASSERT_TRUE(workload.Instantiate(&system).ok());
+    SystemResult result = system.Run();
+    ASSERT_FALSE(result.had_error);
+
+    uint64_t counter_samples = 0;
+    uint64_t counter_cycles = 0;
+    for (uint32_t cpu = 0; cpu < cpus; ++cpu) {
+      const PerfCountersStats& stats = system.counters(cpu)->stats();
+      for (uint64_t samples : stats.samples) counter_samples += samples;
+      counter_cycles += stats.handler_cycles;
+    }
+    const DriverCpuStats& driver = result.driver_total;
+    const DaemonStats& daemon = result.daemon;
+    EXPECT_GT(driver.wide_records, 0u) << cpus << " cpus";
+    EXPECT_EQ(driver.interrupts, counter_samples) << cpus << " cpus";
+    EXPECT_EQ(driver.wide_records, daemon.wide_records) << cpus << " cpus";
+    EXPECT_EQ(daemon.samples_attributed + daemon.samples_unknown, driver.interrupts)
+        << cpus << " cpus";
+    EXPECT_EQ(driver.handler_cycles, counter_cycles) << cpus << " cpus";
+  }
 }
 
 }  // namespace

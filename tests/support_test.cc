@@ -14,6 +14,7 @@
 #include "src/support/stats.h"
 #include "src/support/status.h"
 #include "src/support/text_table.h"
+#include "tests/testgen.h"
 
 namespace dcpi {
 namespace {
@@ -181,12 +182,7 @@ TEST(Crc32, KnownVectorsAndSensitivity) {
 
 class AtomicWriteTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::string("/tmp/dcpi_support_test_") +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
+  void SetUp() override { dir_ = testgen::UniqueTempRoot(); }
   void TearDown() override {
     SetFaultInjectingEnv(nullptr);
     std::filesystem::remove_all(dir_);

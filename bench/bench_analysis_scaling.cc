@@ -137,9 +137,7 @@ int main(int argc, char** argv) {
               "Section 6 analysis suite at fleet scale (ROADMAP: fast as the "
               "hardware allows)");
 
-  const std::string root = "/tmp/dcpi_bench_analysis_scaling";
-  std::filesystem::remove_all(root);
-  std::filesystem::create_directories(root);
+  const std::string root = BenchScratchDir("bench_analysis_scaling");
 
   // Several distinct images, each with a fan of procedures, so the engine
   // has a real whole-epoch (image, procedure) task list.

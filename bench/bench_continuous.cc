@@ -120,9 +120,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string root = "/tmp/dcpi_bench_continuous";
-  std::filesystem::remove_all(root);
-  std::filesystem::create_directories(root);
+  const std::string root = bench::BenchScratchDir("bench_continuous");
   const int segments = smoke ? 3 : 8;
   WorkloadFactory factory(/*scale=*/smoke ? 0.25 : 1.0);
   Workload workload = factory.SpecIntLike();

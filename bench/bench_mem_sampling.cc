@@ -97,8 +97,7 @@ int main(int argc, char** argv) {
               "Section 5.2 overhead contract + the ProfileMe memory axis");
 
   const double scale = smoke ? 0.1 : 0.3;
-  const std::string root = "/tmp/dcpi_bench_mem_sampling";
-  std::filesystem::remove_all(root);
+  const std::string root = BenchScratchDir("bench_mem_sampling");
 
   // --- Gate 1: off means off ---
   SweepPoint zero_a = RunPoint(scale, 0.0, root + "/zero_a");

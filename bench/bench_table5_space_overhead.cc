@@ -41,8 +41,7 @@ int main() {
     for (size_t w = 0; w < num_workloads; ++w) {
       WorkloadFactory factory(/*scale=*/0.2, /*seed=*/1);
       Workload workload = factory.Table2Suite()[w];
-      std::string db_root = "/tmp/dcpi_bench_t5_db";
-      std::filesystem::remove_all(db_root);
+      std::string db_root = BenchScratchDir("bench_table5_space_overhead");
       RunSpec spec;
       spec.mode = mode;
       spec.period_scale = 1.0 / 4;  // denser sampling: short runs, real files

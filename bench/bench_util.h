@@ -3,7 +3,10 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 
@@ -66,6 +69,19 @@ inline RunOutput RunProfiled(const Workload& workload, const RunSpec& spec) {
     std::exit(1);
   }
   return output;
+}
+
+// A fresh, empty scratch directory for one run of `bench`:
+// <tmp>/dcpi_<bench>_<pid>. The pid keeps concurrent runs (of the same bench
+// or of different ones) from deleting each other's files. The caller
+// removes it when done.
+inline std::string BenchScratchDir(const std::string& bench) {
+  std::string root = (std::filesystem::temp_directory_path() /
+                      ("dcpi_" + bench + "_" + std::to_string(::getpid())))
+                         .string();
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  return root;
 }
 
 inline void PrintHeader(const char* what, const char* paper_ref) {

@@ -158,7 +158,7 @@ fi
 if [[ "$RUN_ASAN" == 1 ]]; then
   ASAN_FILTER=""
   if [[ "$FAST" == 1 ]]; then
-    ASAN_FILTER="ProfileDbCrash|DeserializeAdversarial|MemorySection|AtomicWrite|Crc32|DbTest|BinaryIo|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative"
+    ASAN_FILTER="ProfileDbCrash|DeserializeAdversarial|MemorySection|AtomicWrite|Crc32|DbTest|BinaryIo|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|SimGolden"
   fi
   run_config build-asan "-fsanitize=address,undefined -O1 -g -fno-omit-frame-pointer" "$ASAN_FILTER"
 fi

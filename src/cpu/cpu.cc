@@ -21,6 +21,24 @@ uint64_t DoubleToBits(double d) {
 
 }  // namespace
 
+const char* ExitReasonName(ExitReason reason) {
+  switch (reason) {
+    case ExitReason::kHalted:
+      return "halted";
+    case ExitReason::kYielded:
+      return "yielded";
+    case ExitReason::kQuantumExpired:
+      return "quantum expired";
+    case ExitReason::kInstructionLimit:
+      return "instruction limit";
+    case ExitReason::kBadPc:
+      return "bad pc: fetch outside mapped text";
+    case ExitReason::kBadMemory:
+      return "bad memory: data access outside mapped memory";
+  }
+  return "unknown";
+}
+
 Cpu::Cpu(uint32_t cpu_id, const CpuConfig& config)
     : cpu_id_(cpu_id),
       config_(config),
@@ -30,13 +48,18 @@ Cpu::Cpu(uint32_t cpu_id, const CpuConfig& config)
   if (config_.issue_queue_depth > kMaxQueueDepth) {
     config_.issue_queue_depth = kMaxQueueDepth;
   }
+  for (int op = 0; op < static_cast<int>(Opcode::kOpcodeCount); ++op) {
+    DecodedInst inst;
+    inst.op = static_cast<Opcode>(op);
+    result_latency_[static_cast<int>(inst.klass())] = model_.ResultLatency(inst);
+  }
+  icache_line_shift_ = memory_.icache().line_shift();
 }
 
 void Cpu::OnContextSwitch() {
   ++stats_.context_switches;
   if (config_.flush_tlb_on_switch) memory_.ClearTlbs();
-  fetch_line_ = ~0ull;
-  fetch_count_ = 0;
+  ResetFetchLine();
   fetch_time_ = last_issue_time_;
   pending_fetch_cause_ = StallCause::kNone;
   floor_time_ = last_issue_time_;
@@ -61,26 +84,37 @@ Cpu::FetchInfo Cpu::ComputeFetchTime(ExecContext& ctx, uint64_t pc) {
                     kMaxQueueDepth];
   if (fetch_time_ < oldest) fetch_time_ = oldest;
 
-  uint64_t paddr = ctx.Translate(pc);
-  uint64_t line = paddr / memory_.config().icache.line_bytes;
-  if (line != fetch_line_) {
-    if (fetch_line_ != ~0ull) {
-      fetch_time_ += 1;  // line crossing consumes the next fetch slot
+  // Within one virtual line the physical line cannot change, so only a new
+  // virtual line is translated. Two virtual lines can still share a
+  // physical line (page colours collide), so a line crossing is decided on
+  // physical lines.
+  bool new_line = false;
+  uint64_t vline = pc >> icache_line_shift_;
+  if (vline != fetch_vline_) {
+    fetch_vline_ = vline;
+    uint64_t paddr = ctx.Translate(pc);
+    uint64_t line = paddr >> icache_line_shift_;
+    if (line != fetch_line_) {
+      new_line = true;
+      if (fetch_line_ != ~0ull) {
+        fetch_time_ += 1;  // line crossing consumes the next fetch slot
+      }
+      FetchResult fr = memory_.AccessFetch(pc, paddr);
+      if (fr.latency > 0) fetch_time_ += fr.latency;
+      if (fr.icache_miss) {
+        info.icache_miss = true;
+        info.cause = StallCause::kIcacheMiss;
+        if (monitor_ != nullptr) monitor_->OnEvent(EventType::kImiss, fetch_time_);
+      }
+      if (fr.itb_miss) {
+        info.itb_miss = true;
+        info.cause = StallCause::kItbMiss;
+      }
+      fetch_line_ = line;
+      fetch_count_ = 0;
     }
-    FetchResult fr = memory_.AccessFetch(pc, paddr);
-    if (fr.latency > 0) fetch_time_ += fr.latency;
-    if (fr.icache_miss) {
-      info.icache_miss = true;
-      info.cause = StallCause::kIcacheMiss;
-      if (monitor_ != nullptr) monitor_->OnEvent(EventType::kImiss, fetch_time_);
-    }
-    if (fr.itb_miss) {
-      info.itb_miss = true;
-      info.cause = StallCause::kItbMiss;
-    }
-    fetch_line_ = line;
-    fetch_count_ = 0;
-  } else if (fetch_count_ >= config_.pipeline.fetch_width) {
+  }
+  if (!new_line && fetch_count_ >= config_.pipeline.fetch_width) {
     fetch_time_ += 1;
     fetch_count_ = 0;
     if (info.cause == StallCause::kNone) info.cause = StallCause::kFetchWidth;
@@ -96,18 +130,16 @@ Cpu::FetchInfo Cpu::ComputeFetchTime(ExecContext& ctx, uint64_t pc) {
 
 void Cpu::RedirectFetch(uint64_t resume_time, StallCause cause) {
   fetch_time_ = resume_time;
-  fetch_line_ = ~0ull;
-  fetch_count_ = 0;
+  ResetFetchLine();
   pending_fetch_cause_ = cause;
 }
 
-bool Cpu::DependsOnGroup(const RegRef* srcs, int nsrcs,
-                         const std::optional<RegRef>& dest) const {
+bool Cpu::DependsOnGroup(const PredecodedInst& p) const {
   for (int d = 0; d < group_ndests_; ++d) {
-    for (int s = 0; s < nsrcs; ++s) {
-      if (srcs[s] == group_dests_[d]) return true;  // RAW
+    for (int s = 0; s < p.nsrcs; ++s) {
+      if (p.srcs[s] == group_dests_[d]) return true;  // RAW
     }
-    if (dest.has_value() && *dest == group_dests_[d]) return true;  // WAW
+    if (p.has_dest && p.dest == group_dests_[d]) return true;  // WAW
   }
   return false;
 }
@@ -115,11 +147,13 @@ bool Cpu::DependsOnGroup(const RegRef* srcs, int nsrcs,
 bool Cpu::Step(ExecContext& ctx) {
   RegFile& regs = ctx.regs();
   const uint64_t pc = regs.pc;
-  const DecodedInst* inst = ctx.FetchInstruction(pc);
-  if (inst == nullptr) {
+  const PredecodedInst* pre = ctx.FetchInstruction(pc);
+  if (pre == nullptr) {
     exit_ = ExitReason::kBadPc;
     return false;
   }
+  const DecodedInst* inst = &pre->inst;
+  const InstrClass klass = pre->klass;
 
   // ---- Front end ----
   FetchInfo fetch = ComputeFetchTime(ctx, pc);
@@ -129,18 +163,16 @@ bool Cpu::Step(ExecContext& ctx) {
   constraint.Raise(fetch.time, fetch.cause);
   constraint.Raise(floor_time_, floor_cause_);
 
-  RegRef srcs[3];
-  int nsrcs = inst->SourceRegs(srcs);
-  for (int s = 0; s < nsrcs; ++s) {
-    int bank = static_cast<int>(srcs[s].bank);
-    uint64_t ready = reg_ready_[bank][srcs[s].index];
-    StallCause cause = reg_cause_[bank][srcs[s].index];
+  for (int s = 0; s < pre->nsrcs; ++s) {
+    int bank = static_cast<int>(pre->srcs[s].bank);
+    uint64_t ready = reg_ready_[bank][pre->srcs[s].index];
+    StallCause cause = reg_cause_[bank][pre->srcs[s].index];
     constraint.Raise(ready, cause == StallCause::kNone ? StallCause::kDependency : cause);
   }
-  if (PipelineModel::UsesImul(*inst)) {
+  if (pre->uses_imul) {
     constraint.Raise(imul_free_, StallCause::kImulBusy);
   }
-  if (PipelineModel::UsesFdiv(*inst)) {
+  if (pre->uses_fdiv) {
     constraint.Raise(fdiv_free_, StallCause::kFdivBusy);
   }
 
@@ -148,7 +180,6 @@ bool Cpu::Step(ExecContext& ctx) {
   uint64_t vaddr = 0;
   uint64_t paddr = 0;
   bool dtb_miss = false;
-  InstrClass klass = inst->klass();
   if (klass == InstrClass::kLoad || klass == InstrClass::kStore) {
     vaddr = static_cast<uint64_t>(regs.ReadInt(inst->rb) + inst->disp);
     paddr = ctx.Translate(vaddr);
@@ -170,15 +201,12 @@ bool Cpu::Step(ExecContext& ctx) {
   }
 
   // ---- Grouping / issue time ----
-  std::optional<RegRef> dest = inst->DestReg();
-  bool zero_dest = dest.has_value() && dest->IsZero();
   uint64_t prev_issue_event = last_issue_time_;
-  int slot = PipelineModel::PickSlot(*inst, group_slots_);
+  int slot = PipelineModel::PickSlot(pre->slot_mask, group_slots_);
   bool can_group = !group_closed_ && group_size_ > 0 &&
                    group_size_ < kNumIssueSlots && slot >= 0 &&
-                   constraint.time <= group_time_ &&
-                   !PipelineModel::IssuesAlone(*inst) &&
-                   !DependsOnGroup(srcs, nsrcs, zero_dest ? std::nullopt : dest);
+                   constraint.time <= group_time_ && !pre->issues_alone &&
+                   !DependsOnGroup(*pre);
 
   uint64_t issue_time;
   bool new_group;
@@ -206,13 +234,13 @@ bool Cpu::Step(ExecContext& ctx) {
     group_slots_ = static_cast<uint8_t>(1 << (slot >= 0 ? slot : 0));
     group_ndests_ = 0;
     group_size_ = 1;
-    group_closed_ = PipelineModel::EndsGroup(*inst);
+    group_closed_ = pre->ends_group;
     ++stats_.issue_groups;
-  } else if (PipelineModel::EndsGroup(*inst)) {
+  } else if (pre->ends_group) {
     group_closed_ = true;
   }
-  if (dest.has_value() && !zero_dest && group_ndests_ < kNumIssueSlots) {
-    group_dests_[group_ndests_++] = *dest;
+  if (pre->has_dest && group_ndests_ < kNumIssueSlots) {
+    group_dests_[group_ndests_++] = pre->dest;
   }
   last_issue_time_ = group_time_;
   recent_issue_[recent_pos_ % kMaxQueueDepth] = issue_time;
@@ -220,7 +248,7 @@ bool Cpu::Step(ExecContext& ctx) {
 
   // ---- Execute ----
   uint64_t next_pc = pc + kInstrBytes;
-  uint64_t dest_ready = issue_time + model_.ResultLatency(*inst);
+  uint64_t dest_ready = issue_time + result_latency_[static_cast<int>(klass)];
   StallCause dest_cause = StallCause::kNone;
   bool record_taken_edge = false;
   uint64_t taken_target = 0;
@@ -242,6 +270,7 @@ bool Cpu::Step(ExecContext& ctx) {
       uint64_t value = 0;
       if (!ctx.LoadData(vaddr, size, &value)) {
         exit_ = ExitReason::kBadMemory;
+        fault_vaddr_ = vaddr;
         return false;
       }
       LoadResult lr = memory_.AccessLoad(paddr);
@@ -276,6 +305,7 @@ bool Cpu::Step(ExecContext& ctx) {
                            : static_cast<uint64_t>(regs.ReadInt(inst->ra));
       if (!ctx.StoreData(vaddr, size, value)) {
         exit_ = ExitReason::kBadMemory;
+        fault_vaddr_ = vaddr;
         return false;
       }
       memory_.CommitStore(paddr, issue_time);
@@ -538,10 +568,10 @@ bool Cpu::Step(ExecContext& ctx) {
   }
 
   // Scoreboard update.
-  if (dest.has_value() && !zero_dest) {
-    int bank = static_cast<int>(dest->bank);
-    reg_ready_[bank][dest->index] = dest_ready;
-    reg_cause_[bank][dest->index] = dest_cause;
+  if (pre->has_dest) {
+    int bank = static_cast<int>(pre->dest.bank);
+    reg_ready_[bank][pre->dest.index] = dest_ready;
+    reg_cause_[bank][pre->dest.index] = dest_cause;
   }
 
   // ---- Ground truth ----
@@ -580,6 +610,9 @@ bool Cpu::Step(ExecContext& ctx) {
 RunResult Cpu::Run(ExecContext& ctx, uint64_t max_cycles, uint64_t max_instructions) {
   uint64_t start_cycle = last_issue_time_;
   uint64_t start_instructions = stats_.instructions;
+  // `ctx` may not be the context the fetch line was translated in; the
+  // first fetch translates again (fetch_line_ itself stays, as before).
+  fetch_vline_ = ~0ull;
   while (true) {
     if (last_issue_time_ - start_cycle >= max_cycles) {
       exit_ = ExitReason::kQuantumExpired;
@@ -592,7 +625,8 @@ RunResult Cpu::Run(ExecContext& ctx, uint64_t max_cycles, uint64_t max_instructi
     if (!Step(ctx)) break;
   }
   return RunResult{exit_, last_issue_time_ - start_cycle,
-                   stats_.instructions - start_instructions};
+                   stats_.instructions - start_instructions,
+                   exit_ == ExitReason::kBadMemory ? fault_vaddr_ : 0};
 }
 
 }  // namespace dcpi

@@ -12,6 +12,13 @@
 // performance-counter subsystem) and, optionally, exact per-instruction
 // execution counts and stall attributions to a GroundTruth recorder (the
 // dcpix role).
+//
+// Hot path: Step() runs once per simulated instruction, so it derives
+// nothing that is static. It reads the instruction's issue facts (sources,
+// destination, class, slots, grouping flags) from the PredecodedInst the
+// context returns, result latencies from a per-class table built at
+// construction, and translates the fetch PC only when the virtual fetch
+// line changes (DESIGN.md, "Simulator hot path").
 
 #ifndef SRC_CPU_CPU_H_
 #define SRC_CPU_CPU_H_
@@ -42,14 +49,17 @@ enum class ExitReason {
   kYielded,
   kQuantumExpired,
   kInstructionLimit,
-  kBadPc,
-  kBadMemory,
+  kBadPc,      // fetch from outside mapped text
+  kBadMemory,  // load or store outside every mapped range
 };
+
+const char* ExitReasonName(ExitReason reason);
 
 struct RunResult {
   ExitReason reason;
   uint64_t cycles_used = 0;
   uint64_t instructions = 0;
+  uint64_t fault_vaddr = 0;  // kBadMemory: the data address refused
 };
 
 struct CpuStats {
@@ -114,8 +124,13 @@ class Cpu {
 
   FetchInfo ComputeFetchTime(ExecContext& ctx, uint64_t pc);
   void RedirectFetch(uint64_t resume_time, StallCause cause);
-  bool DependsOnGroup(const RegRef* srcs, int nsrcs,
-                      const std::optional<RegRef>& dest) const;
+  // Forgets the current fetch line, so the next fetch starts a new one.
+  void ResetFetchLine() {
+    fetch_line_ = ~0ull;
+    fetch_vline_ = ~0ull;
+    fetch_count_ = 0;
+  }
+  bool DependsOnGroup(const PredecodedInst& p) const;
 
   // One dynamic instruction. Returns true to continue; on false, `exit_`
   // holds the reason.
@@ -128,6 +143,10 @@ class Cpu {
   BranchPredictor predictor_;
   PerfMonitor* monitor_ = nullptr;
   GroundTruth* ground_truth_ = nullptr;
+
+  // PipelineModel::ResultLatency by instruction class.
+  uint64_t result_latency_[kNumInstrClasses] = {};
+  uint32_t icache_line_shift_ = 0;
 
   // Register scoreboard: ready time and the microarchitectural reason a
   // consumer would stall on it.
@@ -150,9 +169,12 @@ class Cpu {
   uint64_t floor_time_ = 0;
   StallCause floor_cause_ = StallCause::kNone;
 
-  // Fetch stream.
+  // Fetch stream. fetch_line_ is the physical I-cache line being fetched
+  // from; fetch_vline_ the virtual line it was translated from (a fetch in
+  // the same virtual line needs no translation).
   uint64_t fetch_time_ = 0;
   uint64_t fetch_line_ = ~0ull;
+  uint64_t fetch_vline_ = ~0ull;
   uint32_t fetch_count_ = 0;
   StallCause pending_fetch_cause_ = StallCause::kNone;
 
@@ -163,6 +185,7 @@ class Cpu {
 
   ExitReason exit_ = ExitReason::kHalted;
   bool exit_after_ = false;  // halt/yield: finish accounting, then stop
+  uint64_t fault_vaddr_ = 0;
   CpuStats stats_;
 };
 

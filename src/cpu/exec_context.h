@@ -1,7 +1,10 @@
 // Execution context: what the CPU needs from the OS layer to run a process.
 //
 // The kernel (src/kernel) implements this for real processes; tests can
-// implement it directly with a flat memory.
+// implement it directly with a flat memory. The CPU calls FetchInstruction
+// once per dynamic instruction, Translate once per fetched I-cache line
+// and per data access, and LoadData/StoreData once per memory operation,
+// so implementations keep these on a fast path (see AddressSpace).
 
 #ifndef SRC_CPU_EXEC_CONTEXT_H_
 #define SRC_CPU_EXEC_CONTEXT_H_
@@ -9,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "src/cpu/pipeline_model.h"
 #include "src/isa/instruction.h"
 
 namespace dcpi {
@@ -42,8 +46,9 @@ class ExecContext {
   // Physical address for cache indexing.
   virtual uint64_t Translate(uint64_t vaddr) = 0;
 
-  // Predecoded instruction at `pc`; nullptr if pc is outside mapped text.
-  virtual const DecodedInst* FetchInstruction(uint64_t pc) = 0;
+  // Predecoded instruction at `pc` (built once per static instruction by
+  // Predecode()); nullptr if pc is outside mapped text.
+  virtual const PredecodedInst* FetchInstruction(uint64_t pc) = 0;
 };
 
 }  // namespace dcpi

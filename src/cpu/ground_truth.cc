@@ -46,11 +46,18 @@ void GroundTruth::AddImage(std::shared_ptr<const ExecutableImage> image) {
   std::sort(images_.begin(), images_.end(), [](const ImageTruth& a, const ImageTruth& b) {
     return a.image->text_base() < b.image->text_base();
   });
-  last_hit_ = nullptr;
+  ForgetRecent();
 }
 
-ImageTruth* GroundTruth::ImageForPc(uint64_t pc) {
-  if (last_hit_ != nullptr && last_hit_->image->ContainsPc(pc)) return last_hit_;
+void GroundTruth::ForgetRecent() {
+  last_hit_ = nullptr;
+  hit_base_ = 0;
+  hit_bytes_ = 0;
+  hit_truth_ = nullptr;
+  for (RecentEdge& recent : recent_edges_) recent = RecentEdge();
+}
+
+ImageTruth* GroundTruth::FindPc(uint64_t pc) {
   auto it = std::upper_bound(images_.begin(), images_.end(), pc,
                              [](uint64_t value, const ImageTruth& t) {
                                return value < t.image->text_base();
@@ -59,20 +66,18 @@ ImageTruth* GroundTruth::ImageForPc(uint64_t pc) {
   --it;
   if (!it->image->ContainsPc(pc)) return nullptr;
   last_hit_ = &*it;
+  hit_base_ = it->image->text_base();
+  hit_bytes_ = it->image->text_end() - hit_base_;
+  hit_truth_ = it->instructions.data();
   return last_hit_;
 }
 
-InstructionTruth* GroundTruth::ForPc(uint64_t pc) {
-  ImageTruth* truth = ImageForPc(pc);
-  if (truth == nullptr) return nullptr;
-  return &truth->instructions[(pc - truth->image->text_base()) / kInstrBytes];
-}
-
-void GroundTruth::AddEdge(uint64_t from_pc, uint64_t to_pc) {
-  ImageTruth* truth = ImageForPc(from_pc);
-  if (truth == nullptr || !truth->image->ContainsPc(to_pc)) return;
-  uint64_t base = truth->image->text_base();
-  ++truth->edges[{from_pc - base, to_pc - base}];
+void GroundTruth::AddNewEdge(uint64_t from_pc, uint64_t to_pc, RecentEdge* recent) {
+  if (!HitContains(from_pc) && FindPc(from_pc) == nullptr) return;
+  if (!HitContains(to_pc)) return;
+  uint64_t& count = last_hit_->edges[{from_pc - hit_base_, to_pc - hit_base_}];
+  ++count;
+  *recent = {from_pc, to_pc, &count};
 }
 
 void GroundTruth::DrainInto(GroundTruth* dst) {
@@ -100,6 +105,7 @@ void GroundTruth::DrainInto(GroundTruth* dst) {
     for (const auto& [edge, count] : src.edges) out->edges[edge] += count;
     src.edges.clear();
   }
+  ForgetRecent();
 }
 
 const ImageTruth* GroundTruth::FindImage(const ExecutableImage* image) const {

@@ -59,6 +59,11 @@ struct ImageTruth {
 
 class GroundTruth {
  public:
+  GroundTruth() = default;
+  // The lookup caches point into this object's own images: no copies.
+  GroundTruth(const GroundTruth&) = delete;
+  GroundTruth& operator=(const GroundTruth&) = delete;
+
   // Registers an image; instruction counters are indexed by PC range.
   void AddImage(std::shared_ptr<const ExecutableImage> image);
 
@@ -68,20 +73,57 @@ class GroundTruth {
   // needs no synchronization) into the merged machine-wide view.
   void DrainInto(GroundTruth* dst);
 
-  // Fast lookup of the truth record for an absolute PC (images are
-  // prelinked at unique addresses). Returns nullptr for unknown PCs.
-  InstructionTruth* ForPc(uint64_t pc);
+  // The truth record for an absolute PC (images are prelinked at unique
+  // addresses). Returns nullptr for unknown PCs. The simulator calls this
+  // once per instruction: the image hit last is checked inline, and only
+  // a PC outside it searches the images.
+  InstructionTruth* ForPc(uint64_t pc) {
+    if (!HitContains(pc) && FindPc(pc) == nullptr) return nullptr;
+    return &hit_truth_[(pc - hit_base_) / kInstrBytes];
+  }
 
-  void AddEdge(uint64_t from_pc, uint64_t to_pc);
+  // Counts a taken edge; ignored unless both PCs are in one image. A
+  // repeat of a recent edge bumps its count without walking the map.
+  void AddEdge(uint64_t from_pc, uint64_t to_pc) {
+    RecentEdge& recent = recent_edges_[(from_pc / kInstrBytes) % kRecentEdges];
+    if (recent.from_pc == from_pc && recent.to_pc == to_pc) {
+      ++*recent.count;
+    } else {
+      AddNewEdge(from_pc, to_pc, &recent);
+    }
+  }
 
   const ImageTruth* FindImage(const ExecutableImage* image) const;
   const std::vector<ImageTruth>& images() const { return images_; }
 
  private:
-  ImageTruth* ImageForPc(uint64_t pc);
+  // A recently counted edge and its count in the image's edges map
+  // (std::map nodes do not move while the entry exists).
+  struct RecentEdge {
+    uint64_t from_pc = ~0ull;  // no instruction is at an all-ones PC
+    uint64_t to_pc = 0;
+    uint64_t* count = nullptr;
+  };
+  static constexpr uint64_t kRecentEdges = 256;  // direct-mapped by from_pc
+
+  bool HitContains(uint64_t pc) const { return pc - hit_base_ < hit_bytes_; }
+  // Searches the images for `pc` and makes its image the cached hit;
+  // nullptr (cache unchanged) if no image holds it.
+  ImageTruth* FindPc(uint64_t pc);
+  void AddNewEdge(uint64_t from_pc, uint64_t to_pc, RecentEdge* recent);
+  // Drops every cached pointer into images_ (before it moves or clears).
+  void ForgetRecent();
 
   std::vector<ImageTruth> images_;  // sorted by text_base
+
+  // The image hit last, and its text range [hit_base_, hit_base_ +
+  // hit_bytes_) and truth array; empty until the first lookup and after
+  // every AddImage.
   ImageTruth* last_hit_ = nullptr;
+  uint64_t hit_base_ = 0;
+  uint64_t hit_bytes_ = 0;
+  InstructionTruth* hit_truth_ = nullptr;
+  RecentEdge recent_edges_[kRecentEdges];
 };
 
 }  // namespace dcpi

@@ -39,15 +39,6 @@ uint8_t PipelineModel::SlotMask(const DecodedInst& inst) {
   return kMaskE0;
 }
 
-int PipelineModel::PickSlot(const DecodedInst& inst, uint8_t used_mask) {
-  uint8_t free_suitable = SlotMask(inst) & static_cast<uint8_t>(~used_mask);
-  if (free_suitable == 0) return -1;
-  for (int s = 0; s < kNumIssueSlots; ++s) {
-    if (free_suitable & (1 << s)) return s;
-  }
-  return -1;
-}
-
 uint64_t PipelineModel::ResultLatency(const DecodedInst& inst) const {
   switch (inst.klass()) {
     case InstrClass::kLoad:
@@ -87,6 +78,22 @@ bool PipelineModel::EndsGroup(const DecodedInst& inst) {
 bool PipelineModel::IssuesAlone(const DecodedInst& inst) {
   InstrClass k = inst.klass();
   return k == InstrClass::kBarrier || k == InstrClass::kPal;
+}
+
+PredecodedInst Predecode(const DecodedInst& inst) {
+  PredecodedInst p;
+  p.inst = inst;
+  p.klass = inst.klass();
+  p.slot_mask = PipelineModel::SlotMask(inst);
+  p.nsrcs = static_cast<uint8_t>(inst.SourceRegs(p.srcs));
+  p.ends_group = PipelineModel::EndsGroup(inst);
+  p.issues_alone = PipelineModel::IssuesAlone(inst);
+  p.uses_imul = PipelineModel::UsesImul(inst);
+  p.uses_fdiv = PipelineModel::UsesFdiv(inst);
+  std::optional<RegRef> dest = inst.DestReg();
+  p.has_dest = dest.has_value() && !dest->IsZero();
+  if (p.has_dest) p.dest = *dest;
+  return p;
 }
 
 }  // namespace dcpi

@@ -28,6 +28,7 @@ namespace dcpi {
 
 enum class IssueSlot : uint8_t { kE0 = 0, kE1 = 1, kFA = 2, kFM = 3 };
 inline constexpr int kNumIssueSlots = 4;
+inline constexpr int kNumInstrClasses = static_cast<int>(InstrClass::kPal) + 1;
 
 struct PipelineConfig {
   // Result latencies in cycles (operand-ready delay after issue).
@@ -63,7 +64,18 @@ class PipelineModel {
   static uint8_t SlotMask(const DecodedInst& inst);
 
   // Picks the first free suitable slot given `used_mask`; returns -1 if none.
-  static int PickSlot(const DecodedInst& inst, uint8_t used_mask);
+  static int PickSlot(const DecodedInst& inst, uint8_t used_mask) {
+    return PickSlot(SlotMask(inst), used_mask);
+  }
+  // The same, given the instruction's SlotMask.
+  static int PickSlot(uint8_t slot_mask, uint8_t used_mask) {
+    uint8_t free_suitable = slot_mask & static_cast<uint8_t>(~used_mask);
+    if (free_suitable == 0) return -1;
+    for (int s = 0; s < kNumIssueSlots; ++s) {
+      if (free_suitable & (1 << s)) return s;
+    }
+    return -1;
+  }
 
   // Result latency assuming D-cache hits (static best case).
   uint64_t ResultLatency(const DecodedInst& inst) const;
@@ -89,6 +101,27 @@ class PipelineModel {
  private:
   PipelineConfig config_;
 };
+
+// One static instruction with every fact the issue logic needs about it,
+// derived once from the functions above when an image is predecoded, so
+// the simulator reads fields instead of re-deriving them on every
+// dynamic execution. Result latency is not here: it depends on the
+// PipelineConfig, which is per CPU (Cpu keeps a table by class).
+struct PredecodedInst {
+  DecodedInst inst;
+  InstrClass klass = InstrClass::kIntOp;
+  uint8_t slot_mask = 0;  // PipelineModel::SlotMask
+  uint8_t nsrcs = 0;
+  bool ends_group = false;
+  bool issues_alone = false;
+  bool uses_imul = false;
+  bool uses_fdiv = false;
+  bool has_dest = false;  // writes a register other than r31/f31
+  RegRef srcs[3] = {};    // DecodedInst::SourceRegs
+  RegRef dest = {};       // DecodedInst::DestReg, when has_dest
+};
+
+PredecodedInst Predecode(const DecodedInst& inst);
 
 }  // namespace dcpi
 

@@ -1,5 +1,6 @@
 #include "src/kernel/address_space.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace dcpi {
@@ -8,8 +9,7 @@ PredecodedImage::PredecodedImage(std::shared_ptr<const ExecutableImage> img)
     : image(std::move(img)) {
   text.reserve(image->num_instructions());
   for (uint32_t word : image->text()) {
-    auto decoded = Decode(word);
-    text.push_back(decoded.value_or(DecodedInst{}));
+    text.push_back(Predecode(Decode(word).value_or(DecodedInst{})));
   }
 }
 
@@ -32,11 +32,14 @@ Status AddressSpace::MapImage(const PredecodedImage* predecoded) {
   valid_ranges_.push_back({image.text_base(), image.text_end()});
   if (image.data_size() > 0) {
     valid_ranges_.push_back({image.data_base(), image.data_base() + image.data_size()});
-    // Copy initialized data into backing pages.
+    // Copy initialized data into backing pages, a page at a time.
     const std::vector<uint8_t>& init = image.data_init();
-    for (size_t i = 0; i < init.size(); ++i) {
+    for (size_t i = 0; i < init.size();) {
       uint64_t vaddr = image.data_base() + i;
-      PageFor(vaddr)[vaddr % kPageBytes] = init[i];
+      uint64_t offset = vaddr % kPageBytes;
+      size_t chunk = std::min<size_t>(init.size() - i, kPageBytes - offset);
+      std::memcpy(PageFor(vaddr) + offset, init.data() + i, chunk);
+      i += chunk;
     }
   }
   return Status::Ok();
@@ -55,8 +58,7 @@ bool AddressSpace::InValidRange(uint64_t vaddr, unsigned size) const {
   return false;
 }
 
-uint8_t* AddressSpace::PageFor(uint64_t vaddr) {
-  uint64_t vpage = vaddr / kPageBytes;
+uint8_t* AddressSpace::FindPage(uint64_t vpage) {
   auto it = pages_.find(vpage);
   if (it == pages_.end()) {
     auto page = std::make_unique<uint8_t[]>(kPageBytes);
@@ -66,12 +68,20 @@ uint8_t* AddressSpace::PageFor(uint64_t vaddr) {
   return it->second.get();
 }
 
+// Values are little-endian. An access that stays in one page resolves the
+// page once; only a page-crossing access goes byte by byte.
 bool AddressSpace::Load(uint64_t vaddr, unsigned size, uint64_t* out) {
   if (!InValidRange(vaddr, size)) return false;
   uint64_t value = 0;
-  for (unsigned i = 0; i < size; ++i) {
-    uint64_t a = vaddr + i;
-    value |= static_cast<uint64_t>(PageFor(a)[a % kPageBytes]) << (8 * i);
+  uint64_t offset = vaddr % kPageBytes;
+  if (offset + size <= kPageBytes) {
+    const uint8_t* bytes = PageFor(vaddr) + offset;
+    for (unsigned i = 0; i < size; ++i) value |= static_cast<uint64_t>(bytes[i]) << (8 * i);
+  } else {
+    for (unsigned i = 0; i < size; ++i) {
+      uint64_t a = vaddr + i;
+      value |= static_cast<uint64_t>(PageFor(a)[a % kPageBytes]) << (8 * i);
+    }
   }
   *out = value;
   return true;
@@ -79,21 +89,27 @@ bool AddressSpace::Load(uint64_t vaddr, unsigned size, uint64_t* out) {
 
 bool AddressSpace::Store(uint64_t vaddr, unsigned size, uint64_t value) {
   if (!InValidRange(vaddr, size)) return false;
-  for (unsigned i = 0; i < size; ++i) {
-    uint64_t a = vaddr + i;
-    PageFor(a)[a % kPageBytes] = static_cast<uint8_t>(value >> (8 * i));
+  uint64_t offset = vaddr % kPageBytes;
+  if (offset + size <= kPageBytes) {
+    uint8_t* bytes = PageFor(vaddr) + offset;
+    for (unsigned i = 0; i < size; ++i) bytes[i] = static_cast<uint8_t>(value >> (8 * i));
+  } else {
+    for (unsigned i = 0; i < size; ++i) {
+      uint64_t a = vaddr + i;
+      PageFor(a)[a % kPageBytes] = static_cast<uint8_t>(value >> (8 * i));
+    }
   }
   return true;
 }
 
-const DecodedInst* AddressSpace::InstructionAt(uint64_t pc) {
-  if (last_text_hit_ != nullptr && last_text_hit_->image->ContainsPc(pc)) {
-    return &last_text_hit_->text[(pc - last_text_hit_->image->text_base()) / kInstrBytes];
-  }
+const PredecodedInst* AddressSpace::FindInstruction(uint64_t pc) {
   for (const Mapping& m : mappings_) {
-    if (m.predecoded->image->ContainsPc(pc)) {
-      last_text_hit_ = m.predecoded;
-      return &m.predecoded->text[(pc - m.predecoded->image->text_base()) / kInstrBytes];
+    const ExecutableImage& image = *m.predecoded->image;
+    if (image.ContainsPc(pc)) {
+      text_base_ = image.text_base();
+      text_bytes_ = image.text_end() - image.text_base();
+      text_ = m.predecoded->text.data();
+      return &text_[(pc - text_base_) / kInstrBytes];
     }
   }
   return nullptr;

@@ -5,6 +5,13 @@
 // pages, and a per-process random page colouring used for physical cache
 // indexing. Instruction fetch goes through a shared predecode cache so the
 // simulator does not re-decode hot loops.
+//
+// The simulator calls InstructionAt once per instruction and Load/Store
+// once per memory operation, so each keeps its last answer close:
+// InstructionAt checks the last text range it hit inline before searching
+// the mappings, and backing pages are found through a small direct-mapped
+// array of recent pages before the page map. Both only cache what the
+// slow path would return, so results do not depend on them.
 
 #ifndef SRC_KERNEL_ADDRESS_SPACE_H_
 #define SRC_KERNEL_ADDRESS_SPACE_H_
@@ -14,16 +21,18 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/cpu/pipeline_model.h"
 #include "src/isa/image.h"
 #include "src/memory/memory_system.h"
 #include "src/support/status.h"
 
 namespace dcpi {
 
-// Predecoded text shared between all processes mapping an image.
+// Predecoded text shared between all processes mapping an image: one
+// Predecode()d issue descriptor per instruction.
 struct PredecodedImage {
   std::shared_ptr<const ExecutableImage> image;
-  std::vector<DecodedInst> text;
+  std::vector<PredecodedInst> text;
 
   explicit PredecodedImage(std::shared_ptr<const ExecutableImage> img);
 };
@@ -54,7 +63,11 @@ class AddressSpace {
   uint64_t Translate(uint64_t vaddr) { return mapper_.Translate(vaddr); }
 
   // Predecoded instruction at pc, or nullptr outside mapped text.
-  const DecodedInst* InstructionAt(uint64_t pc);
+  const PredecodedInst* InstructionAt(uint64_t pc) {
+    uint64_t offset = pc - text_base_;
+    if (offset < text_bytes_) return &text_[offset / kInstrBytes];
+    return FindInstruction(pc);
+  }
 
   struct Mapping {
     const PredecodedImage* predecoded;
@@ -66,7 +79,16 @@ class AddressSpace {
 
  private:
   bool InValidRange(uint64_t vaddr, unsigned size) const;
-  uint8_t* PageFor(uint64_t vaddr);
+  // Searches the mappings for pc's text and makes it the cached range.
+  const PredecodedInst* FindInstruction(uint64_t pc);
+  // Backing page of `vaddr`, allocated zero-filled on first touch.
+  uint8_t* PageFor(uint64_t vaddr) {
+    uint64_t vpage = vaddr / kPageBytes;
+    RecentPage& recent = recent_pages_[vpage % kRecentPages];
+    if (recent.vpage != vpage) recent = {vpage, FindPage(vpage)};
+    return recent.data;
+  }
+  uint8_t* FindPage(uint64_t vpage);
 
   struct Range {
     uint64_t start;
@@ -77,7 +99,19 @@ class AddressSpace {
   std::vector<Mapping> mappings_;
   std::vector<Range> valid_ranges_;
   std::unordered_map<uint64_t, std::unique_ptr<uint8_t[]>> pages_;
-  const PredecodedImage* last_text_hit_ = nullptr;
+
+  // The text range InstructionAt last hit: [text_base_, text_base_ +
+  // text_bytes_) holds text_. Empty until the first fetch.
+  uint64_t text_base_ = 0;
+  uint64_t text_bytes_ = 0;
+  const PredecodedInst* text_ = nullptr;
+
+  static constexpr uint64_t kRecentPages = 64;
+  struct RecentPage {
+    uint64_t vpage = ~0ull;  // no virtual page number is all ones
+    uint8_t* data = nullptr;
+  };
+  RecentPage recent_pages_[kRecentPages];
 };
 
 }  // namespace dcpi

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cinttypes>
+#include <cstdio>
 
 #include "src/isa/assembler.h"
 
@@ -62,6 +64,20 @@ kbuf:   .space 256
 
 }  // namespace
 
+std::string ProcessFault::ToString() const {
+  char where[160];
+  std::snprintf(where, sizeof(where), "pid %" PRIu32 " (%s) on cpu %" PRIu32
+                " at cycle %" PRIu64 ": ",
+                pid, process.c_str(), cpu, cycle);
+  char what[96];
+  if (reason == ExitReason::kBadMemory) {
+    std::snprintf(what, sizeof(what), " at pc 0x%" PRIx64 ", data VA 0x%" PRIx64, pc, data_va);
+  } else {
+    std::snprintf(what, sizeof(what), " at pc 0x%" PRIx64, pc);
+  }
+  return std::string(where) + ExitReasonName(reason) + what;
+}
+
 Kernel::Kernel(const KernelConfig& config) : config_(config) {
   truth_shards_.reserve(config.num_cpus);
   for (uint32_t i = 0; i < config.num_cpus; ++i) {
@@ -70,6 +86,7 @@ Kernel::Kernel(const KernelConfig& config) : config_(config) {
     cpus_.back()->set_ground_truth(truth_shards_.back().get());
   }
   run_queues_.resize(config.num_cpus);
+  faults_.resize(config.num_cpus);
 
   Result<std::shared_ptr<ExecutableImage>> vmunix =
       Assemble("/vmunix", kVmunixBase, kVmunixSource);
@@ -183,7 +200,12 @@ bool Kernel::RunOneStep(uint32_t cpu_index) {
       break;
     case ExitReason::kBadPc:
     case ExitReason::kBadMemory:
-      had_error_.store(true, std::memory_order_relaxed);
+      if (!faults_[cpu_index].has_value()) {
+        faults_[cpu_index] = ProcessFault{process->pid(),     process->name(),
+                                          cpu_index,          cpu->now(),
+                                          process->regs().pc, result.fault_vaddr,
+                                          result.reason};
+      }
       process->set_state(ProcessState::kDone);
       EmitExitEvents(*process);
       break;
@@ -231,6 +253,14 @@ std::vector<LoaderEvent> Kernel::DrainLoaderEvents() {
 GroundTruth& Kernel::ground_truth() {
   for (auto& shard : truth_shards_) shard->DrainInto(&ground_truth_);
   return ground_truth_;
+}
+
+std::optional<ProcessFault> Kernel::FirstFault() const {
+  std::optional<ProcessFault> first;
+  for (const std::optional<ProcessFault>& fault : faults_) {
+    if (fault.has_value() && (!first.has_value() || fault->cycle < first->cycle)) first = fault;
+  }
+  return first;
 }
 
 uint64_t Kernel::ElapsedCycles() const {

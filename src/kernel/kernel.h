@@ -15,8 +15,8 @@
 // every CPU has its own kernel context (pid 0) for the swtch/idle paths,
 // and each CPU records into its own ground-truth shard. RunCpuShard() may
 // therefore be called concurrently from one host thread per CPU: the only
-// cross-CPU state is the loader-event queue (mutex, cold path) and the
-// process-error flag (atomic). Run() drives the same per-CPU shards
+// cross-CPU state is the loader-event queue (mutex, cold path); each CPU
+// records process faults in its own slot. Run() drives the same per-CPU shards
 // sequentially, interleaving CPUs by least-advanced simulated clock, and
 // is bit-identical to the historical single-threaded scheduler for
 // num_cpus == 1.
@@ -24,10 +24,10 @@
 #ifndef SRC_KERNEL_KERNEL_H_
 #define SRC_KERNEL_KERNEL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,6 +53,21 @@ struct LoaderEvent {
   Kind kind;
   uint32_t pid = 0;
   std::shared_ptr<const ExecutableImage> image;  // kLoadImage / kUnloadImage
+};
+
+// Why a process died: which process, where, and for what reason.
+struct ProcessFault {
+  uint32_t pid = 0;
+  std::string process;  // process name
+  uint32_t cpu = 0;
+  uint64_t cycle = 0;    // the CPU's clock when the process stopped
+  uint64_t pc = 0;       // the faulting instruction (kBadPc: the bad target)
+  uint64_t data_va = 0;  // kBadMemory: the data address refused
+  ExitReason reason = ExitReason::kBadPc;
+
+  // "pid 3 (query_0) on cpu 1 at cycle 123: bad memory: ... at pc 0x...,
+  // data VA 0x..."
+  std::string ToString() const;
 };
 
 class Kernel {
@@ -92,8 +107,13 @@ class Kernel {
   // Longest per-CPU clock: the workload's elapsed time.
   uint64_t ElapsedCycles() const;
 
+  // The first process fault: the earliest in simulated time across CPUs
+  // (lowest CPU on a tie), so the answer does not depend on host thread
+  // timing. Call only while no CPU shard is running.
+  std::optional<ProcessFault> FirstFault() const;
+
   // True if any process terminated abnormally (bad PC / bad memory).
-  bool HadProcessError() const { return had_error_.load(std::memory_order_relaxed); }
+  bool HadProcessError() const { return FirstFault().has_value(); }
 
  private:
   void RunKernelProc(uint32_t cpu_index, uint64_t entry_pc);
@@ -118,9 +138,9 @@ class Kernel {
   Mutex loader_mu_{LockRank::kKernelLoader, "kernel.loader"};
   std::vector<LoaderEvent> loader_events_ GUARDED_BY(loader_mu_);
   uint32_t next_pid_ = 1;
-  // Sticky failure flag; set (relaxed) by any shard thread on a process
-  // fault, read after the shards have joined, so no ordering is needed.
-  std::atomic<bool> had_error_{false};
+  // First fault per CPU; written only by that CPU's shard, read after the
+  // shards have joined.
+  std::vector<std::optional<ProcessFault>> faults_;
 
   std::shared_ptr<const ExecutableImage> vmunix_;
   std::vector<std::unique_ptr<Process>> kernel_procs_;  // pid 0, per CPU

@@ -1,14 +1,40 @@
 #include "src/memory/cache.h"
 
-#include <cassert>
+#include <bit>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
 
 namespace dcpi {
 
+Status ValidateCacheConfig(const CacheConfig& config) {
+  std::string geometry = std::to_string(config.size_bytes) + " bytes, " +
+                         std::to_string(config.line_bytes) + "-byte lines, " +
+                         std::to_string(config.associativity) + "-way";
+  if (config.associativity == 0 || !std::has_single_bit(config.line_bytes)) {
+    return InvalidArgument("cache " + geometry +
+                           ": line size must be a power of two and associativity non-zero");
+  }
+  uint64_t set_bytes = config.line_bytes * config.associativity;
+  uint64_t sets = config.size_bytes / set_bytes;
+  if (config.size_bytes % set_bytes != 0 || !std::has_single_bit(sets)) {
+    return InvalidArgument("cache " + geometry +
+                           ": number of sets must be a power of two");
+  }
+  return Status::Ok();
+}
+
 Cache::Cache(const CacheConfig& config) : config_(config) {
-  assert(config.line_bytes > 0 && config.associativity > 0);
-  assert(config.size_bytes % (config.line_bytes * config.associativity) == 0);
-  num_sets_ = config.size_bytes / (config.line_bytes * config.associativity);
-  ways_.resize(num_sets_ * config.associativity);
+  Status valid = ValidateCacheConfig(config);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "Cache: %s\n", valid.ToString().c_str());
+    std::abort();
+  }
+  uint64_t sets = config.size_bytes / (config.line_bytes * config.associativity);
+  line_shift_ = static_cast<uint32_t>(std::countr_zero(config.line_bytes));
+  tag_shift_ = line_shift_ + static_cast<uint32_t>(std::countr_zero(sets));
+  set_mask_ = sets - 1;
+  ways_.resize(sets * config.associativity);
 }
 
 bool Cache::Access(uint64_t paddr) {

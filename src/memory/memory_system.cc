@@ -2,6 +2,15 @@
 
 namespace dcpi {
 
+uint64_t PageMapper::Lookup(uint64_t vpage) {
+  auto it = map_.find(vpage);
+  if (it == map_.end()) {
+    uint64_t ppage = rng_.Next() & 0x3ffff;  // 256K pages = 2 GB physical
+    it = map_.emplace(vpage, ppage).first;
+  }
+  return it->second;
+}
+
 MemorySystem::MemorySystem(const MemoryConfig& config)
     : config_(config),
       icache_(config.icache),

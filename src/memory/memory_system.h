@@ -39,23 +39,34 @@ struct MemoryConfig {
 
 // Assigns physical pages to virtual pages on first touch, with a randomized
 // colouring per run. One mapper per process.
+//
+// A small direct-mapped array of recent translations sits in front of the
+// map. It only ever holds mappings the map already has, so the RNG draws
+// (one per first touch) happen in the same order with or without it.
 class PageMapper {
  public:
   explicit PageMapper(uint64_t seed) : rng_(seed) {}
 
   uint64_t Translate(uint64_t vaddr) {
     uint64_t vpage = vaddr / kPageBytes;
-    auto it = map_.find(vpage);
-    if (it == map_.end()) {
-      uint64_t ppage = rng_.Next() & 0x3ffff;  // 256K pages = 2 GB physical
-      it = map_.emplace(vpage, ppage).first;
-    }
-    return it->second * kPageBytes + vaddr % kPageBytes;
+    Recent& recent = recent_[vpage % kRecentPages];
+    if (recent.vpage != vpage) recent = {vpage, Lookup(vpage)};
+    return recent.ppage * kPageBytes + vaddr % kPageBytes;
   }
 
  private:
+  static constexpr uint64_t kRecentPages = 64;
+  struct Recent {
+    uint64_t vpage = ~0ull;  // no virtual page number is all ones
+    uint64_t ppage = 0;
+  };
+
+  // The physical page of `vpage`, assigned on first touch.
+  uint64_t Lookup(uint64_t vpage);
+
   SplitMix64 rng_;
   std::unordered_map<uint64_t, uint64_t> map_;
+  Recent recent_[kRecentPages];
 };
 
 struct LoadResult {

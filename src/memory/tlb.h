@@ -2,7 +2,9 @@
 //
 // Fully-associative with LRU replacement, matching the 21164's 48-entry ITB
 // and 64-entry DTB. A miss costs the PAL-code fill penalty; the walk itself
-// is not simulated.
+// is not simulated. Lookups try the most recently hit slot first; a page
+// occupies at most one slot, so this finds the same slot the full scan
+// would and the LRU state is unchanged.
 
 #ifndef SRC_MEMORY_TLB_H_
 #define SRC_MEMORY_TLB_H_
@@ -40,6 +42,7 @@ class Tlb {
 
   uint32_t entries_;
   std::vector<Entry> slots_;
+  size_t mru_ = 0;  // slot of the last hit or fill
   uint64_t use_clock_ = 0;
   TlbStats stats_;
 };

@@ -153,7 +153,8 @@ void System::RunThreaded(uint64_t max_cycles) {
 SystemResult System::BuildResult() {
   SystemResult result;
   result.elapsed_cycles = kernel_->ElapsedCycles();
-  result.had_error = kernel_->HadProcessError();
+  result.fault = kernel_->FirstFault();
+  result.had_error = result.fault.has_value();
   for (uint32_t cpu = 0; cpu < kernel_->num_cpus(); ++cpu) {
     result.instructions += kernel_->cpu(cpu).stats().instructions;
   }

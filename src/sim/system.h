@@ -21,6 +21,7 @@
 #define SRC_SIM_SYSTEM_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,7 +84,9 @@ struct SystemResult {
   uint64_t elapsed_cycles = 0;        // workload wall-clock incl. handler time
   uint64_t busy_cycles_with_daemon = 0;  // + modelled daemon CPU time
   uint64_t instructions = 0;
+  // A process faulted (see `fault`) or the final database flush failed.
   bool had_error = false;
+  std::optional<ProcessFault> fault;  // the kernel's first process fault
   DriverCpuStats driver_total;
   DaemonStats daemon;
   uint64_t samples[kNumEventTypes] = {};

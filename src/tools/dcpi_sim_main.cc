@@ -197,7 +197,14 @@ RunOutcome RunInstance(const RunParams& params) {
       return outcome;
     }
   }
-  if (outcome.result.had_error) outcome.failed = true;
+  if (outcome.result.had_error) {
+    outcome.failed = true;
+    if (outcome.result.fault.has_value()) {
+      std::fprintf(stderr, "process fault: %s\n", outcome.result.fault->ToString().c_str());
+    } else {
+      std::fprintf(stderr, "profile flush to the database failed\n");
+    }
+  }
   if (system.database() != nullptr) {
     outcome.epochs = system.database()->ListEpochs().size();
     outcome.sealed = system.database()->ListSealedEpochs().size();

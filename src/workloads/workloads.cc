@@ -1051,7 +1051,9 @@ Workload WorkloadFactory::AltaVistaLike(uint32_t num_cpus) {
                                               {"SEED", 1234567 + seed_},
                                               {"INDEX_N", kIndexN},
                                               {"INDEX_MASK", kIndexN - 1},
-                                              {"INDEX_BYTES", kIndexN * 8}});
+                                              // probe_index reads two slots
+                                              // past the masked one
+                                              {"INDEX_BYTES", (kIndexN + 2) * 8}});
   std::shared_ptr<ExecutableImage> image = Build("altavista", text);
   for (uint32_t i = 0; i < 8; ++i) {
     workload.processes.push_back({"query_" + std::to_string(i), {image}, "main"});

@@ -19,7 +19,7 @@ class FlatContext : public ExecContext {
   explicit FlatContext(std::shared_ptr<ExecutableImage> image)
       : image_(std::move(image)) {
     for (uint32_t word : image_->text()) {
-      decoded_.push_back(Decode(word).value_or(DecodedInst{}));
+      decoded_.push_back(Predecode(Decode(word).value_or(DecodedInst{})));
     }
     regs_.pc = image_->text_base();
   }
@@ -40,17 +40,24 @@ class FlatContext : public ExecContext {
     }
     return true;
   }
-  uint64_t Translate(uint64_t vaddr) override { return vaddr; }
-  const DecodedInst* FetchInstruction(uint64_t pc) override {
+  uint64_t Translate(uint64_t vaddr) override {
+    translated_.push_back(vaddr);
+    return vaddr;
+  }
+  const PredecodedInst* FetchInstruction(uint64_t pc) override {
     if (!image_->ContainsPc(pc)) return nullptr;
     return &decoded_[(pc - image_->text_base()) / kInstrBytes];
   }
 
+  // Every Translate() argument, in call order.
+  const std::vector<uint64_t>& translated() const { return translated_; }
+
  private:
   std::shared_ptr<ExecutableImage> image_;
-  std::vector<DecodedInst> decoded_;
+  std::vector<PredecodedInst> decoded_;
   RegFile regs_;
   std::map<uint64_t, uint8_t> memory_;
+  std::vector<uint64_t> translated_;
 };
 
 struct RunOutcome {
@@ -73,6 +80,36 @@ RunOutcome RunProgram(const std::string& source, CpuConfig config = CpuConfig())
   outcome.result = cpu.Run(ctx, 100'000'000);
   outcome.cycles = cpu.now();
   return outcome;
+}
+
+// Fetch translates the PC once per virtual I-cache line it enters, not
+// once per instruction; a jump to another page translates the target's
+// page before its first instruction is fetched.
+TEST(CpuTiming, FetchTranslatesOncePerVirtualLine) {
+  auto image = Assemble("pages", 0x0100'0000, R"(
+        addq r1, 1, r1
+        addq r2, 1, r2
+        addq r3, 1, r3
+        addq r4, 1, r4
+        addq r5, 1, r5
+        addq r6, 1, r6
+        addq r7, 1, r7
+        addq r8, 1, r8
+        br   r31, far
+        .align 8192
+far:    halt
+)");
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  const uint64_t base = image.value()->text_base();
+  FlatContext ctx(image.value());
+  Cpu cpu(0, CpuConfig());
+  RunResult result = cpu.Run(ctx, 1'000'000);
+  EXPECT_EQ(result.reason, ExitReason::kHalted);
+  EXPECT_EQ(result.instructions, 10u);
+  // 32-byte lines: the eight adds fill line 0, br starts line 1, and the
+  // halt sits at the start of the next page.
+  std::vector<uint64_t> expected = {base, base + 32, base + kPageBytes};
+  EXPECT_EQ(ctx.translated(), expected);
 }
 
 TEST(CpuTiming, IndependentIntOpsDualIssue) {

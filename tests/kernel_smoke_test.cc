@@ -49,6 +49,71 @@ result: .quad 0
   EXPECT_EQ(value, 5050u);  // 1 + 2 + ... + 100
 }
 
+// Loads and stores inside one page take the single-page path; those that
+// straddle a page boundary go byte by byte. Both must agree on the
+// little-endian layout, and neither may reach outside the mapped range.
+TEST(AddressSpace, LoadStoreRoundTripInPageAndAcrossPages) {
+  AddressSpace aspace(/*page_seed=*/5);
+  const uint64_t base = 0x0200'0000;
+  ASSERT_TRUE(aspace.MapAnonymous(base, 3 * kPageBytes).ok());
+  const uint64_t crossing = base + kPageBytes - 3;  // bytes in two pages
+  const uint64_t in_page = base + 2 * kPageBytes + 64;
+  ASSERT_TRUE(aspace.Store(crossing, 8, 0x1122'3344'5566'7788ull));
+  ASSERT_TRUE(aspace.Store(in_page, 8, 0x0102'0304'0506'0708ull));
+  ASSERT_TRUE(aspace.Store(in_page + 8, 4, 0xaabb'ccddull));
+
+  uint64_t value = 0;
+  ASSERT_TRUE(aspace.Load(crossing, 8, &value));
+  EXPECT_EQ(value, 0x1122'3344'5566'7788ull);
+  ASSERT_TRUE(aspace.Load(in_page, 8, &value));
+  EXPECT_EQ(value, 0x0102'0304'0506'0708ull);
+  ASSERT_TRUE(aspace.Load(in_page + 8, 4, &value));
+  EXPECT_EQ(value, 0xaabb'ccddull);
+  // Byte layout: the low byte first, on either side of the boundary.
+  ASSERT_TRUE(aspace.Load(crossing, 4, &value));
+  EXPECT_EQ(value, 0x5566'7788ull);
+  ASSERT_TRUE(aspace.Load(base + kPageBytes, 4, &value));  // crossing + 3
+  EXPECT_EQ(value, 0x2233'4455ull);
+  ASSERT_TRUE(aspace.Load(in_page + 4, 8, &value));  // spans both stores
+  EXPECT_EQ(value, 0xaabb'ccdd'0102'0304ull);
+
+  EXPECT_FALSE(aspace.Load(base + 3 * kPageBytes - 4, 8, &value));  // runs off the end
+  EXPECT_FALSE(aspace.Store(base - 8, 8, 0));
+}
+
+TEST(KernelSmoke, FaultNamesProcessPcAndDataAddress) {
+  const char* source = R"(
+        .text
+        .proc main
+        li    r1, 0x30000000   # mapped by nothing
+        ldq   r2, 8(r1)
+        halt
+        .endp
+)";
+  auto image = MustAssemble("wild", 0x0100'0000, source);
+  KernelConfig config;
+  Kernel kernel(config);
+  auto process = kernel.CreateProcess("wild_load", {image}, "main");
+  ASSERT_TRUE(process.ok()) << process.status().ToString();
+  kernel.Run();
+  EXPECT_TRUE(kernel.HadProcessError());
+  EXPECT_EQ(process.value()->state(), ProcessState::kDone);
+
+  std::optional<ProcessFault> fault = kernel.FirstFault();
+  ASSERT_TRUE(fault.has_value());
+  const uint64_t ldq_pc = image->text_base() + 2 * kInstrBytes;  // li is two instructions
+  EXPECT_EQ(fault->pid, process.value()->pid());
+  EXPECT_EQ(fault->process, "wild_load");
+  EXPECT_EQ(fault->reason, ExitReason::kBadMemory);
+  EXPECT_EQ(fault->pc, ldq_pc);
+  EXPECT_EQ(fault->data_va, 0x3000'0008u);
+  std::string text = fault->ToString();
+  EXPECT_NE(text.find("pid 1 (wild_load)"), std::string::npos) << text;
+  EXPECT_NE(text.find("bad memory"), std::string::npos) << text;
+  EXPECT_NE(text.find("pc 0x1000008"), std::string::npos) << text;
+  EXPECT_NE(text.find("data VA 0x30000008"), std::string::npos) << text;
+}
+
 TEST(KernelSmoke, GroundTruthCountsLoopIterations) {
   const char* source = R"(
         .text

@@ -4,10 +4,30 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+
 #include "src/memory/memory_system.h"
+#include "src/support/rng.h"
 
 namespace dcpi {
 namespace {
+
+TEST(Cache, RefusesGeometryItCannotIndexByShift) {
+  EXPECT_TRUE(ValidateCacheConfig({8192, 32, 1}).ok());
+  EXPECT_TRUE(ValidateCacheConfig({6144, 32, 3}).ok());  // 64 sets of 3 ways
+  Status line = ValidateCacheConfig({8192, 48, 1});
+  EXPECT_FALSE(line.ok());
+  EXPECT_NE(line.message().find("line size must be a power of two"), std::string::npos)
+      << line.ToString();
+  Status sets = ValidateCacheConfig({6144, 32, 1});  // 192 sets
+  EXPECT_FALSE(sets.ok());
+  EXPECT_NE(sets.message().find("number of sets must be a power of two"), std::string::npos)
+      << sets.ToString();
+  EXPECT_FALSE(ValidateCacheConfig({8192, 32, 0}).ok());
+  EXPECT_FALSE(ValidateCacheConfig({1000, 32, 1}).ok());  // not whole sets
+  EXPECT_DEATH(Cache({6144, 32, 1}), "number of sets must be a power of two");
+}
 
 TEST(Cache, DirectMappedConflicts) {
   Cache cache({1024, 32, 1});  // 32 sets
@@ -90,6 +110,47 @@ TEST(Tlb, HitsAfterFillAndLruEviction) {
   EXPECT_FALSE(tlb.Access(2 * kPageBytes));      // evicts LRU = page 1
   EXPECT_FALSE(tlb.Access(kPageBytes));
   EXPECT_EQ(tlb.stats().misses, 4u);
+}
+
+TEST(Tlb, MruHitThenEvictionPicksLruVictim) {
+  Tlb tlb(2);
+  EXPECT_FALSE(tlb.Access(0));               // page 0
+  EXPECT_FALSE(tlb.Access(kPageBytes));      // page 1 (most recent)
+  EXPECT_TRUE(tlb.Access(kPageBytes + 8));   // page 1 again: the MRU slot
+  EXPECT_TRUE(tlb.Access(16));               // page 0, found by the scan
+  EXPECT_TRUE(tlb.Access(24));               // page 0 again: the MRU slot
+  EXPECT_FALSE(tlb.Access(2 * kPageBytes));  // evicts the LRU page, 1
+  EXPECT_TRUE(tlb.Access(0));
+  EXPECT_FALSE(tlb.Access(kPageBytes));
+  EXPECT_EQ(tlb.stats().hits, 4u);
+  EXPECT_EQ(tlb.stats().misses, 4u);
+}
+
+// Property: hit/miss for every access matches a textbook LRU list, over a
+// page stream with long runs of the same page (MRU hits), small working
+// sets (scan hits) and cold pages (evictions).
+TEST(Tlb, MatchesReferenceLru) {
+  constexpr uint32_t kEntries = 8;
+  Tlb tlb(kEntries);
+  std::list<uint64_t> lru;  // front = most recent
+  SplitMix64 rng(7);
+  uint64_t page = 0;
+  for (int i = 0; i < 20000; ++i) {
+    uint64_t r = rng.Next() % 16;
+    if (r < 8) {
+      // same page
+    } else if (r < 14) {
+      page = rng.Next() % 12;
+    } else {
+      page = 100 + rng.Next() % 1000;
+    }
+    auto it = std::find(lru.begin(), lru.end(), page);
+    bool hit = it != lru.end();
+    if (hit) lru.erase(it);
+    lru.push_front(page);
+    if (lru.size() > kEntries) lru.pop_back();
+    ASSERT_EQ(tlb.Access(page * kPageBytes + rng.Next() % kPageBytes), hit) << "access " << i;
+  }
 }
 
 TEST(Tlb, ClearFlushesEverything) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "src/workloads/workloads.h"
 
 namespace dcpi {
@@ -36,6 +38,18 @@ TEST_P(Table2Workload, AssemblesAndRunsClean) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Suite, Table2Workload, ::testing::Range<size_t>(0, 8));
+
+// probe_index reads the two slots after the probed one; at full scale the
+// queries draw the last slot, and those reads must stay inside the index.
+TEST(WorkloadFactory, AltaVistaFullScaleRunsClean) {
+  WorkloadFactory factory(/*scale=*/1.0);
+  std::unique_ptr<System> system = RunTiny(factory.AltaVistaLike());
+  std::optional<ProcessFault> fault = system->kernel().FirstFault();
+  EXPECT_FALSE(fault.has_value()) << fault->ToString();
+  for (const auto& process : system->kernel().processes()) {
+    EXPECT_EQ(process->state(), ProcessState::kDone) << process->name();
+  }
+}
 
 // Sums ground-truth stall cycles by cause over all images.
 void SumStalls(System& system, uint64_t out[kNumStallCauses]) {

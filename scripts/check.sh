@@ -18,7 +18,8 @@
 # Usage: scripts/check.sh [--tsan-only|--asan-only|--wthread-only] [--fast]
 #                         [--lint] [--wthread] [--bench-smoke]
 #   --fast runs only the concurrency-relevant tests under TSan and the
-#   crash/corruption/durability tests under ASan (the full suites are slow
+#   crash/corruption/durability tests plus the drain-handoff tests
+#   (DaemonIngest, DriverConcurrency) under ASan (the full suites are slow
 #   on small hosts).
 #   --lint additionally runs clang-tidy (config in .clang-tidy) over the
 #   compile-commands database. Skipped with a notice when clang-tidy is not
@@ -158,7 +159,7 @@ fi
 if [[ "$RUN_ASAN" == 1 ]]; then
   ASAN_FILTER=""
   if [[ "$FAST" == 1 ]]; then
-    ASAN_FILTER="ProfileDbCrash|DeserializeAdversarial|MemorySection|AtomicWrite|Crc32|DbTest|BinaryIo|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|Fleet|LockHierarchy|WthreadNegative|SimGolden"
+    ASAN_FILTER="ProfileDbCrash|DeserializeAdversarial|MemorySection|AtomicWrite|Crc32|DbTest|BinaryIo|Engine|Continuous|HashPolicy|DaemonIngest|IngestDb|DriverConcurrency|Fleet|LockHierarchy|WthreadNegative|SimGolden"
   fi
   run_config build-asan "-fsanitize=address,undefined -O1 -g -fno-omit-frame-pointer" "$ASAN_FILTER"
 fi

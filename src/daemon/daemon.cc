@@ -244,6 +244,9 @@ void Daemon::StartDrainThread() {
   driver_->SetDrainMode(DrainMode::kConcurrent);
   drain_thread_ = std::thread([this] {
     while (true) {
+      // Read before the sweep: any publish, due flush or stop that lands
+      // after this read moves the word, so the wait below cannot miss it.
+      uint32_t seen = driver_->DrainWakeWord();
       size_t consumed = driver_->DrainPublished();
       // Timed flushes ride the drain thread: the clock is published by
       // the CPU workers, so flush times are simulated-deterministic even
@@ -254,7 +257,8 @@ void Daemon::StartDrainThread() {
         // sweep after the flag means nothing more can arrive: the
         // shutdown wait is bounded.
         if (drain_stop_.load(std::memory_order_acquire)) break;
-        std::this_thread::yield();
+        // Sleep until a publish, a due timed flush or a stop wakes us.
+        driver_->WaitForDrainWork(seen);
       }
     }
   });
@@ -263,6 +267,7 @@ void Daemon::StartDrainThread() {
 void Daemon::StopDrainThread() {
   if (!drain_thread_running()) return;
   drain_stop_.store(true, std::memory_order_release);
+  driver_->WakeDrainer();
   drain_thread_.join();
   driver_->DrainPublished();  // anything published after the final sweep
   driver_->SetDrainMode(DrainMode::kInline);
@@ -323,10 +328,20 @@ void Daemon::PublishSimTime(uint64_t now) {
          !sim_now_.compare_exchange_weak(current, now, std::memory_order_release,
                                          std::memory_order_relaxed)) {
   }
+  // A timed flush just came due: wake the drain thread to run it. Before
+  // it is due, publishing the clock wakes nobody.
+  if (driver_ != nullptr && TimedFlushesArmed() &&
+      now >= next_flush_due_.load(std::memory_order_relaxed)) {
+    driver_->WakeDrainer();
+  }
+}
+
+bool Daemon::TimedFlushesArmed() const {
+  return database_ != nullptr && policy_.flush_interval_cycles != 0;
 }
 
 bool Daemon::MaybeTimedFlush() {
-  if (database_ == nullptr || policy_.flush_interval_cycles == 0) return false;
+  if (!TimedFlushesArmed()) return false;
   uint64_t now = sim_now_.load(std::memory_order_acquire);
   if (now < next_flush_due_.load(std::memory_order_relaxed)) return false;
   MutexLock lock(&flush_mu_);
@@ -459,7 +474,9 @@ uint64_t Daemon::MemoryUsageBytes() const {
   for (const auto& [key, slot_ptr] : profiles_) {
     ProfileSlot* slot = slot_ptr.get();
     MutexLock slot_lock(&slot->mu);
-    total += slot->profile.memory_bytes() + slot->staged.capacity() * 8;
+    // Staging is priced by its extent (the highest offset seen), not its
+    // capacity, which depends on the order buffers happened to arrive in.
+    total += slot->profile.memory_bytes() + slot->staged.size() * 8;
   }
   return total;
 }

@@ -14,9 +14,12 @@
 // ProcessBuffer is thread-safe: the load maps are guarded by a
 // reader/writer lock, aggregate counters are atomics, and each
 // (image, event) profile is guarded by its own mutex so merges into
-// different profiles do not contend. StopDrainThread() is a bounded-wait
-// shutdown: once producers have quiesced, the drain thread performs one
-// final empty sweep and exits.
+// different profiles do not contend. The drain thread never spins: after
+// an empty sweep it sleeps on the driver's wake word, and three things wake
+// it — a driver publish, a PublishSimTime() that makes a timed flush due,
+// and StopDrainThread(). StopDrainThread() is a bounded-wait shutdown: once
+// producers have quiesced, it sets the stop flag and wakes the thread,
+// which performs one final empty sweep and exits.
 //
 // Batched ingest (Section 5.4's "reduce per-sample daemon work"):
 // ProcessBuffer groups a whole drained buffer by (image, event) and
@@ -160,10 +163,11 @@ class Daemon {
   void ProcessBuffer(uint32_t cpu_id, const std::vector<SampleRecord>& records);
 
   // Concurrent drain of the driver's published overflow buffers. Start
-  // switches the driver to DrainMode::kConcurrent; Stop joins the thread,
-  // performs a final sweep, and restores inline draining. Stop must be
-  // called only after the sample-producing threads have quiesced. While
-  // running, the drain thread also performs any due timed flushes.
+  // switches the driver to DrainMode::kConcurrent; Stop wakes and joins the
+  // thread, performs a final sweep, and restores inline draining. Stop must
+  // be called only after the sample-producing threads have quiesced. While
+  // running, the drain thread also performs any due timed flushes; between
+  // sweeps it sleeps until a publish, a due flush or Stop wakes it.
   void StartDrainThread();
   void StopDrainThread();
   bool drain_thread_running() const { return drain_thread_.joinable(); }
@@ -178,7 +182,8 @@ class Daemon {
 
   // Advances the daemon's view of the simulated clock (atomic max, so
   // per-CPU workers may publish concurrently). Timed flushes are due
-  // against this clock, keeping them at deterministic simulated times.
+  // against this clock, keeping them at deterministic simulated times; a
+  // call that makes one due wakes the drain thread to run it.
   void PublishSimTime(uint64_t now);
 
   // Performs a due timed flush, if any. Safe to call concurrently with
@@ -214,7 +219,9 @@ class Daemon {
   const ImageProfile* FindProfile(const std::string& image_name, EventType event) const;
   std::vector<const ImageProfile*> AllProfiles() const;
 
-  // Total resident memory modelled for the daemon: load maps + profiles.
+  // Total resident memory modelled for the daemon: load maps + profiles +
+  // staging extents. Depends only on what was ingested, never on the order
+  // buffers arrived in, so threaded and sequential runs report the same.
   uint64_t MemoryUsageBytes() const;
 
   // Snapshot of the aggregate counters.
@@ -264,6 +271,8 @@ class Daemon {
   void DrainStagingLocked(ProfileSlot* slot) const REQUIRES(slot->mu);
   // Writes every non-empty profile with ReplaceProfile (+1 retry each).
   Status FlushProfilesLocked() REQUIRES(flush_mu_);
+  // True when the epoch policy schedules timed flushes at all.
+  bool TimedFlushesArmed() const;
   // Erases dead load-map entries (and emptied processes).
   void PruneDeadMaps() EXCLUDES(maps_mu_);
 

@@ -1,7 +1,5 @@
 #include "src/driver/driver.h"
 
-#include <thread>
-
 namespace dcpi {
 
 DcpiDriver::DcpiDriver(uint32_t num_cpus, const DriverConfig& config) : config_(config) {
@@ -27,19 +25,23 @@ void DcpiDriver::PublishActive(uint32_t cpu_id, PerCpu* cpu) {
     // No drain thread: consume the just-published buffer synchronously,
     // which reproduces the original synchronous-callback behaviour.
     DrainCpuPublished(cpu_id);
+  } else {
+    WakeDrainer();
   }
   OverflowBuffer& spare = cpu->buffers[cpu->active_buffer ^ 1];
   bool waited = false;
-  for (int spins = 0; spare.state.load(std::memory_order_acquire) != kFree; ++spins) {
+  for (uint8_t state = spare.state.load(std::memory_order_acquire); state != kFree;
+       state = spare.state.load(std::memory_order_acquire)) {
     if (drain_mode_ == DrainMode::kInline) {
       DrainCpuPublished(cpu_id);
     } else {
       // The daemon has fallen behind. The paper would drop records; we
       // apply host-level backpressure instead so no sample is lost and the
-      // simulated results stay interleaving-independent. The wait costs
-      // host time only, never simulated cycles.
+      // simulated results stay interleaving-independent. The producer
+      // sleeps until the drainer's kFree store notifies this buffer; the
+      // wait costs host time only, never simulated cycles.
       waited = true;
-      if (spins > 64) std::this_thread::yield();
+      spare.state.wait(state, std::memory_order_acquire);
     }
   }
   if (waited) ++cpu->counts.publish_waits;
@@ -129,10 +131,17 @@ size_t DcpiDriver::DrainCpuPublished(uint32_t cpu_id) {
                                         buffer.records.begin() + buffer.count);
     buffer.count = 0;
     buffer.state.store(kFree, std::memory_order_release);
+    // A producer blocked on backpressure sleeps on this buffer's state.
+    if (drain_mode_ == DrainMode::kConcurrent) buffer.state.notify_one();
     if (overflow_handler_) overflow_handler_(cpu_id, drained);
     ++consumed;
   }
   return consumed;
+}
+
+void DcpiDriver::WakeDrainer() {
+  drain_wake_.fetch_add(1, std::memory_order_release);
+  drain_wake_.notify_all();
 }
 
 size_t DcpiDriver::DrainPublished() {

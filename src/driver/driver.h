@@ -21,10 +21,16 @@
 // with a release store of kFree. In `kInline` drain mode (single-threaded
 // simulation) the producer consumes its own published buffers immediately,
 // reproducing the original synchronous callback exactly. In `kConcurrent`
-// mode a daemon drain thread consumes them; if the daemon falls behind,
-// the producer spin-waits (host-level backpressure, invisible in simulated
-// time) instead of dropping records, so collection is lossless and the
-// merged profile is independent of host-thread interleaving.
+// mode a daemon drain thread consumes them, and both sides sleep rather
+// than spin:
+//  * the drainer blocks on a wake word (WaitForDrainWork) that every
+//    publish bumps and notifies (WakeDrainer), so an idle drainer costs
+//    nothing until a buffer or other work arrives;
+//  * if the daemon falls behind, the producer blocks on the spare
+//    buffer's own state atomic, which the drainer notifies when it hands
+//    the buffer back (host-level backpressure, invisible in simulated
+//    time) instead of dropping records, so collection is lossless and the
+//    merged profile is independent of host-thread interleaving.
 //
 // The handler's cost in simulated cycles comes from a calibrated cost
 // model: a fixed interrupt setup/teardown (the paper measures ~214 cycles
@@ -184,6 +190,20 @@ class DcpiDriver : public SampleSink {
   // concurrently with DeliverSample (and with other drainers).
   size_t DrainPublished();
 
+  // The drainer's wake-up protocol, any thread. A drainer reads
+  // DrainWakeWord() before a sweep and, if the sweep found nothing, calls
+  // WaitForDrainWork() with that value: it returns once the word has moved,
+  // which every concurrent-mode publish and every WakeDrainer() call does
+  // after making its work visible. Reading the word before the sweep is
+  // what makes a wake-up impossible to lose.
+  uint32_t DrainWakeWord() const { return drain_wake_.load(std::memory_order_acquire); }
+  void WaitForDrainWork(uint32_t seen) const {
+    drain_wake_.wait(seen, std::memory_order_acquire);
+  }
+  // Publishes "there is drain-side work" (a timed flush came due, a stop
+  // was requested) and wakes a blocked drainer.
+  void WakeDrainer();
+
   // The daemon's final full flush: drains published buffers, then each
   // CPU's hash table and residual overflow records through the overflow
   // handler. Requires quiescence (no concurrent producers).
@@ -226,6 +246,9 @@ class DcpiDriver : public SampleSink {
   //    re-claim (kFree -> kProducer), completing the handoff cycle.
   //  * A buffer is claimed by at most one drainer at a time: the CAS from
   //    kPublished can succeed on exactly one thread.
+  //  * In kConcurrent mode the kDraining -> kFree store is followed by a
+  //    notify on `state`: it is what wakes a producer blocked on the
+  //    spare buffer. kInline mode never blocks, so it never notifies.
   struct OverflowBuffer {
     std::vector<OverflowRecord> records;  // sized to capacity up front
     size_t count = 0;                     // written by the current owner only
@@ -284,6 +307,10 @@ class DcpiDriver : public SampleSink {
   std::vector<PerCpu> per_cpu_;
   OverflowHandler overflow_handler_;
   DrainMode drain_mode_ = DrainMode::kInline;
+  // The drainer's wake word: bumped with release ordering after the work
+  // it announces is visible, so a drainer that acquire-reads a bumped value
+  // sees that work in its next sweep.
+  std::atomic<uint32_t> drain_wake_{0};
 };
 
 }  // namespace dcpi

@@ -6,15 +6,24 @@
 // records, off-grid PCs, and unknown samples — and staged counts must
 // never leak across a sealed epoch boundary. The modelled cost of a buffer
 // is checked against both cost formulas.
+//
+// The last group covers the concurrent drain handoff: the drain thread
+// sleeps when idle, every kind of work (a publish, a due timed flush, a
+// stop) wakes it, and threaded collection reports exactly what sequential
+// collection reports.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,6 +31,7 @@
 #include "src/isa/assembler.h"
 #include "src/profiledb/database.h"
 #include "src/support/rng.h"
+#include "src/workloads/workloads.h"
 #include "tests/testgen.h"
 
 namespace dcpi {
@@ -375,6 +385,161 @@ TEST_F(IngestDbTest, BatchedAndLegacyWriteIdenticalDatabases) {
   std::map<std::string, std::vector<uint8_t>> daemon_files = ReadTree(daemon_root);
   EXPECT_FALSE(daemon_files.empty());
   EXPECT_EQ(daemon_files, ReadTree(oracle_root));
+}
+
+// ---- The concurrent drain handoff ----
+
+// User + system CPU time the whole process has used so far, in seconds.
+double ProcessCpuSeconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_usec) / 1e6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+// Polls `done` until it holds or 30 s pass. Only the test polls: the drain
+// thread itself must be woken, which is what these tests check.
+bool EventuallyTrue(const std::function<bool()>& done) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(DaemonIngest, IdleDrainThreadSleeps) {
+  // The daemon should cost nothing while the driver has nothing for it: a
+  // started drain thread with no producer sleeps instead of spinning.
+  DcpiDriver driver(2, DriverConfig{});
+  Daemon daemon(&driver, nullptr, {});
+  daemon.StartDrainThread();
+  double before = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  double used = ProcessCpuSeconds() - before;
+  daemon.StopDrainThread();
+  EXPECT_LT(used, 0.020) << "an idle drain thread used " << used * 1e3
+                         << " ms of CPU in 200 ms";
+}
+
+TEST(DaemonIngest, StartStopWithoutWorkNeverHangs) {
+  // A stop can land before the drain thread's first sweep, during a sweep,
+  // or while the thread sleeps; each must wake it so the join returns. A
+  // lost wake-up shows up as a hang (which the test timeout turns into a
+  // failure).
+  DcpiDriver driver(2, DriverConfig{});
+  Daemon daemon(&driver, nullptr, {});
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    daemon.StartDrainThread();
+    ASSERT_TRUE(daemon.drain_thread_running());
+    daemon.StopDrainThread();
+    ASSERT_FALSE(daemon.drain_thread_running());
+  }
+  EXPECT_EQ(daemon.stats().buffers, 0u);
+}
+
+TEST(DaemonIngest, PublishWakesSleepingDrainThread) {
+  // With no stop in sight, a buffer published to a sleeping drain thread
+  // must still reach the daemon: the publish itself is the wake-up.
+  DcpiDriver driver(1, DriverConfig{});
+  Daemon daemon(&driver, nullptr, {});
+  LoadStandardMaps(&daemon);
+  daemon.StartDrainThread();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it sleep
+  driver.DeliverSample(0, kPid, 0x0100'0004, EventType::kCycles);
+  driver.FlushCpu(0);  // publishes the one-record buffer
+  EXPECT_TRUE(EventuallyTrue([&] { return daemon.stats().buffers == 1; }));
+  daemon.StopDrainThread();
+  EXPECT_EQ(daemon.stats().samples_attributed, 1u);
+}
+
+TEST(DaemonIngest, DueTimedFlushWakesSleepingDrainThread) {
+  // Publishing the clock wakes the drain thread only once a timed flush is
+  // due, and that wake-up alone is enough for the flush to run.
+  const std::string root = testgen::UniqueTempRoot();
+  {
+    ProfileDatabase db(root);
+    DcpiDriver driver(1, DriverConfig{});
+    Daemon daemon(&driver, &db, {});
+    EpochPolicy policy;
+    policy.flush_interval_cycles = 1000;
+    daemon.set_epoch_policy(policy);
+    LoadStandardMaps(&daemon);
+    daemon.ProcessBuffer(0, std::vector<SampleRecord>{
+                                {{kPid, 0x0100'0000, EventType::kCycles}, 3}});
+    daemon.StartDrainThread();
+    daemon.PublishSimTime(999);  // not yet due
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(daemon.stats().timed_flushes, 0u);
+    daemon.PublishSimTime(1000);
+    EXPECT_TRUE(EventuallyTrue([&] { return daemon.stats().timed_flushes == 1; }));
+    daemon.StopDrainThread();
+    Result<ImageProfile> flushed = db.ReadProfile(0, "libA", EventType::kCycles);
+    ASSERT_TRUE(flushed.ok());
+    EXPECT_EQ(flushed.value().SamplesAt(0), 3u);
+  }
+  std::filesystem::remove_all(root);
+}
+
+TEST(DaemonIngest, ThreadedTimedFlushesWriteSequentialDatabase) {
+  // Timed flushes on the threaded path run on the drain thread, woken by
+  // the CPU workers' clock; the database they leave must be the
+  // sequential scheduler's, byte for byte. Short drain and flush intervals
+  // give many handoffs per run.
+  const std::string root = testgen::UniqueTempRoot();
+  std::map<std::string, std::vector<uint8_t>> trees[2];
+  for (bool threaded : {true, false}) {
+    SystemConfig config;
+    config.kernel.num_cpus = 4;
+    config.mode = ProfilingMode::kDefault;
+    config.period_scale = 1.0 / 32;
+    config.free_profiling = true;
+    config.threaded_collection = threaded;
+    config.daemon_drain_interval = 500'000;
+    config.daemon_flush_interval = 1'000'000;
+    config.db_root = root + (threaded ? "/threaded" : "/sequential");
+    WorkloadFactory factory(/*scale=*/0.05);
+    Workload workload = factory.DssLike(4);
+    System system(config);
+    ASSERT_TRUE(workload.Instantiate(&system).ok());
+    SystemResult result = system.Run();
+    ASSERT_FALSE(result.had_error);
+    EXPECT_GE(result.daemon.timed_flushes, 1u) << (threaded ? "threaded" : "sequential");
+    trees[threaded ? 0 : 1] = ReadTree(config.db_root);
+  }
+  std::filesystem::remove_all(root);
+  EXPECT_FALSE(trees[0].empty());
+  EXPECT_EQ(trees[0], trees[1]);
+}
+
+// Table 5's 4-CPU AltaVista run: the daemon memory it leaves behind.
+uint64_t AltaVistaDaemonBytes(bool threaded, uint32_t jitter_seed) {
+  WorkloadFactory factory(/*scale=*/0.2, /*seed=*/1);
+  Workload workload = factory.AltaVistaLike();
+  SystemConfig config;
+  config.kernel.num_cpus = workload.num_cpus;
+  config.mode = ProfilingMode::kDefault;
+  config.period_scale = 1.0 / 4;
+  config.threaded_collection = threaded;
+  config.host_jitter_seed = jitter_seed;
+  System system(config);
+  EXPECT_TRUE(workload.Instantiate(&system).ok());
+  EXPECT_FALSE(system.Run().had_error);
+  return system.daemon()->MemoryUsageBytes();
+}
+
+TEST(DaemonIngest, ThreadedAndSequentialReportEqualMemoryUsage) {
+  // Table 5's daemon-memory column must not depend on the order in which
+  // the drain thread happened to receive buffers, so every threaded
+  // interleaving reports what the sequential scheduler reports.
+  uint64_t sequential = AltaVistaDaemonBytes(/*threaded=*/false, 0);
+  EXPECT_GT(sequential, 0u);
+  for (uint32_t jitter : {0u, 7u, 1234u}) {
+    EXPECT_EQ(AltaVistaDaemonBytes(/*threaded=*/true, jitter), sequential)
+        << "threaded run, jitter seed " << jitter;
+  }
 }
 
 }  // namespace

@@ -141,6 +141,9 @@ TEST(DriverConcurrency, SlowDrainerCausesBackpressureNotLoss) {
   driver.FlushAll();
 
   EXPECT_EQ(tally.total, kSamples);  // backpressure dropped nothing
+  // The producer really did block on a buffer the drainer still held, and
+  // the drainer's hand-back woke it every time.
+  EXPECT_GT(driver.TotalStats().publish_waits, 0u);
 }
 
 // Single-threaded inline mode must behave exactly like the historical
